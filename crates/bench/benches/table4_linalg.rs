@@ -6,7 +6,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use dpf_core::{Ctx, Machine};
-use dpf_suite::{find, run_basic, runners, Size};
+use dpf_suite::{find, run_basic, runners, ProblemClass, Size};
+
+const CLASS_A: Size = Size::Class(ProblemClass::A);
 
 fn bench_table4_rows(c: &mut Criterion) {
     let mut g = c.benchmark_group("table4");
@@ -24,7 +26,7 @@ fn bench_table4_rows(c: &mut Criterion) {
     ] {
         let entry = find(name).unwrap();
         g.bench_function(name, |b| {
-            b.iter(|| black_box(run_basic(&entry, &machine, Size::Medium).report.perf.flops))
+            b.iter(|| black_box(run_basic(&entry, &machine, CLASS_A).report.perf.flops))
         });
     }
     g.finish();
@@ -45,7 +47,7 @@ fn bench_pcr_layout_variants(c: &mut Criterion) {
         g.bench_function(label, |b| {
             b.iter(|| {
                 let ctx = Ctx::new(machine.clone());
-                black_box(f(&ctx, Size::Medium).points)
+                black_box(f(&ctx, CLASS_A).points)
             })
         });
     }

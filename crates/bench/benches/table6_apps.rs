@@ -1,12 +1,15 @@
 //! Table 6 — the twenty application codes, one Criterion benchmark per
-//! row, at the Small size tier (the per-iteration characterization is
+//! row, at class S (the per-iteration characterization is
 //! size-independent; wall time per row stays CI-friendly).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use dpf_core::Machine;
-use dpf_suite::{registry, run_basic, Group, Size};
+use dpf_suite::{registry, run_basic, Group, ProblemClass, Size};
+
+const CLASS_S: Size = Size::Class(ProblemClass::S);
+const CLASS_A: Size = Size::Class(ProblemClass::A);
 
 fn bench_table6_rows(c: &mut Criterion) {
     let mut g = c.benchmark_group("table6");
@@ -17,16 +20,16 @@ fn bench_table6_rows(c: &mut Criterion) {
         .filter(|e| e.group == Group::Application)
     {
         g.bench_function(entry.name, |b| {
-            b.iter(|| black_box(run_basic(&entry, &machine, Size::Small).report.perf.flops))
+            b.iter(|| black_box(run_basic(&entry, &machine, CLASS_S).report.perf.flops))
         });
     }
     g.finish();
 }
 
-fn bench_medium_grid_codes(c: &mut Criterion) {
-    // The grid-based subset at Medium size — the paper's dominating
+fn bench_class_a_grid_codes(c: &mut Criterion) {
+    // The grid-based subset at class A — the paper's dominating
     // workloads (fluid dynamics) at a representative scale.
-    let mut g = c.benchmark_group("table6_medium");
+    let mut g = c.benchmark_group("table6_class_a");
     g.sample_size(10);
     let machine = Machine::cm5(32);
     for name in [
@@ -39,11 +42,11 @@ fn bench_medium_grid_codes(c: &mut Criterion) {
     ] {
         let entry = dpf_suite::find(name).unwrap();
         g.bench_function(name, |b| {
-            b.iter(|| black_box(run_basic(&entry, &machine, Size::Medium).report.perf.flops))
+            b.iter(|| black_box(run_basic(&entry, &machine, CLASS_A).report.perf.flops))
         });
     }
     g.finish();
 }
 
-criterion_group!(benches, bench_table6_rows, bench_medium_grid_codes);
+criterion_group!(benches, bench_table6_rows, bench_class_a_grid_codes);
 criterion_main!(benches);

@@ -24,9 +24,8 @@
 //! campaigns the journal is kept, so `--resume` completes it).
 //!
 //! options:
-//!   --size small|medium|large|S|W|A|B|C
-//!                                problem size tier or NAS-style class
-//!                                (default medium; class S = small)
+//!   --size small|S|W|A|B|C       NAS-style problem class (default A;
+//!                                small is an alias for S)
 //!   --version basic|optimized|library|CMSSL|C/DPEAC
 //!   --procs N                    virtual processors (default 32, CM-5 style)
 //!   --backend virtual|spmd       execution backend (default virtual)
@@ -88,7 +87,7 @@ struct Options {
 impl Default for Options {
     fn default() -> Self {
         Options {
-            size: Size::Medium,
+            size: Size::Class(ProblemClass::A),
             version: Version::Basic,
             procs: 32,
             backend: Backend::Virtual,
@@ -145,7 +144,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--size" => {
                 o.size = it
                     .next()
-                    .ok_or("bad --size (want small|medium|large or a class S|W|A|B|C)")?
+                    .ok_or("bad --size (want small|S|W|A|B|C)")?
                     .parse()?;
             }
             "--version" => {
@@ -162,7 +161,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 o.procs = it
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .ok_or("bad --procs")?;
+                    .filter(|&p| p > 0)
+                    .ok_or("bad --procs (want at least 1)")?;
             }
             "--backend" => {
                 o.backend = it
@@ -267,7 +267,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: dpf <list|run <name>|all|soak|campaign <spec>|tables|table <1-8|perf|eff|model>|lint> \
-         [--size small|medium|large|S|W|A|B|C] [--version v] [--procs N] \
+         [--size small|S|W|A|B|C] [--version v] [--procs N] \
          [--backend virtual|spmd] [--faults RATE] [--fault-seed N] \
          [--link-faults RATE] [--max-retransmits N] [--kill-worker R:C]... \
          [--recover in-run|restart|off] [--timeout-secs N] [--retries N] \

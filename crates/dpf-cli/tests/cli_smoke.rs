@@ -1,7 +1,7 @@
 //! End-to-end smoke tests for the `dpf` binary's crash-consistency
 //! surface: the hidden `--crash-after-rows` SIGKILL hook, `--resume`
 //! byte-identity, the interrupt exit code, and the typed (exit 2)
-//! handling of corrupt artifacts and journals.
+//! handling of corrupt artifacts, journals and bad option values.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -62,6 +62,33 @@ fn corrupt_campaign_artifact_is_a_typed_exit_2() {
     let err = stderr_of(&out);
     assert!(err.contains("campaign.json"), "names the file: {err}");
     assert!(err.contains("at byte"), "names the byte offset: {err}");
+}
+
+#[test]
+fn retired_size_tiers_are_a_typed_exit_2() {
+    for size in ["medium", "large"] {
+        let out = dpf().args(["all", "--size", size]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "--size {size}");
+        let err = stderr_of(&out);
+        assert!(err.contains("small|S|W|A|B|C"), "names the sizes: {err}");
+    }
+}
+
+#[test]
+fn size_small_is_an_alias_for_class_s() {
+    let run = |size: &str| {
+        let out = dpf().args(["all", "--size", size]).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+        out.stdout
+    };
+    assert_eq!(run("small"), run("S"));
+}
+
+#[test]
+fn zero_procs_is_a_typed_exit_2() {
+    let out = dpf().args(["run", "md", "--procs", "0"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
+    assert!(stderr_of(&out).contains("--procs"));
 }
 
 #[cfg(unix)]

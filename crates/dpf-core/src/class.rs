@@ -15,14 +15,14 @@
 //!   iteration/step counts.
 //!
 //! Class S has index 0, so both rules are the identity there: a class-S
-//! run is parameter-for-parameter the legacy `Small` tier. That anchor
-//! is what lets golden (byte-compared) campaigns run at class S while
-//! W/A/B/C scale the same shapes up deterministically.
+//! run solves each benchmark at its base shape. That anchor is what lets
+//! golden (byte-compared) campaigns run at class S while W/A/B/C scale
+//! the same shapes up deterministically.
 
 /// A problem-class descriptor (S smallest, C largest).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ProblemClass {
-    /// Sample class: identical to the legacy `Small` tier (index 0).
+    /// Sample class: every benchmark at its base shape (index 0).
     S,
     /// Workstation class.
     W,

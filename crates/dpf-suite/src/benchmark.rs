@@ -66,35 +66,26 @@ impl std::fmt::Display for Version {
     }
 }
 
-/// Problem-size tier for the harness (each benchmark maps these to its
-/// own parameters).
+/// The problem size a runner is asked to solve: a NAS-style
+/// [`ProblemClass`]. Every runner derives its shapes from the class with
+/// [`ProblemClass::pow2`] and [`ProblemClass::linear`].
 ///
-/// The legacy three-tier axis (`Small`/`Medium`/`Large`) is joined by
-/// [`Size::Class`], the NAS-style parameterized axis: every runner
-/// derives its shapes from the [`ProblemClass`] descriptor's scaling
-/// rules, anchored so class S is parameter-for-parameter identical to
-/// `Small`.
+/// The class is the only size axis. It stays wrapped in this one-variant
+/// enum so the runner signature `fn(&Ctx, Size) -> RunOutput` and the
+/// `Size::Class(..)` spelling that the suite benchmark (`suitebench/`)
+/// builds keep compiling unchanged. Runners unpack it with
+/// `let Size::Class(c) = size;`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Size {
-    /// Seconds-scale CI runs and pattern classification.
-    Small,
-    /// The default evaluation size.
-    Medium,
-    /// Benchmark-grade.
-    Large,
-    /// Parameterized problem class (S = `Small`, then W/A/B/C scale up).
+    /// Parameterized problem class (S smallest, then W/A/B/C scale up).
     Class(ProblemClass),
 }
 
 impl Size {
-    /// Stable lower-case label (class sizes keep their letter).
+    /// The class letter.
     pub fn label(self) -> &'static str {
-        match self {
-            Size::Small => "small",
-            Size::Medium => "medium",
-            Size::Large => "large",
-            Size::Class(c) => c.name(),
-        }
+        let Size::Class(c) = self;
+        c.name()
     }
 }
 
@@ -107,15 +98,13 @@ impl std::fmt::Display for Size {
 impl std::str::FromStr for Size {
     type Err = String;
 
+    /// Parses a class letter; `small` is accepted as an alias for class S.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "small" => Ok(Size::Small),
-            "medium" => Ok(Size::Medium),
-            "large" => Ok(Size::Large),
-            other => other.parse::<ProblemClass>().map(Size::Class).map_err(|_| {
-                format!("unknown size {s:?} (want small|medium|large or a class S|W|A|B|C)")
-            }),
-        }
+        let class = if s == "small" { "S" } else { s };
+        class
+            .parse::<ProblemClass>()
+            .map(Size::Class)
+            .map_err(|_| format!("unknown size {s:?} (want small|S|W|A|B|C)"))
     }
 }
 
@@ -195,13 +184,19 @@ mod tests {
 
     #[test]
     fn sizes_parse_and_label_round_trip() {
-        for s in ["small", "medium", "large", "S", "W", "A", "B", "C"] {
+        for s in ["S", "W", "A", "B", "C"] {
             let size: Size = s.parse().unwrap();
             assert_eq!(size.label(), s, "label must round-trip");
             assert_eq!(size.to_string(), s);
         }
         assert_eq!("s".parse::<Size>().unwrap(), Size::Class(ProblemClass::S));
-        assert!("huge".parse::<Size>().is_err());
+        assert_eq!(
+            "small".parse::<Size>().unwrap(),
+            Size::Class(ProblemClass::S)
+        );
+        for retired in ["medium", "large", "huge"] {
+            assert!(retired.parse::<Size>().is_err(), "{retired} must not parse");
+        }
     }
 
     #[test]

@@ -13,12 +13,8 @@ use dpf_core::{Ctx, Verify};
 use crate::benchmark::{RunOutput, Size};
 
 fn n_for(size: Size) -> usize {
-    match size {
-        Size::Small => 1 << 10,
-        Size::Medium => 1 << 16,
-        Size::Large => 1 << 20,
-        Size::Class(c) => c.pow2(1 << 10),
-    }
+    let Size::Class(c) = size;
+    c.pow2(1 << 10)
 }
 
 /// `gather` — many-to-one indexed reads through a random permutation plus
@@ -107,12 +103,8 @@ pub fn run_reduction(ctx: &Ctx, size: Size) -> RunOutput {
 /// `transpose` — the AAPC benchmark ("may be used to confirm advertised
 /// bisection bandwidths").
 pub fn run_transpose(ctx: &Ctx, size: Size) -> RunOutput {
-    let side = match size {
-        Size::Small => 32,
-        Size::Medium => 256,
-        Size::Large => 1024,
-        Size::Class(c) => c.pow2(32),
-    };
+    let Size::Class(c) = size;
+    let side = c.pow2(32);
     let a = DistArray::<f64>::from_fn(ctx, &[side, side], &[PAR, PAR], |i| {
         (i[0] * side + i[1]) as f64
     })
@@ -136,7 +128,7 @@ pub fn run_transpose(ctx: &Ctx, size: Size) -> RunOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpf_core::{CommPattern, Machine};
+    use dpf_core::{CommPattern, Machine, ProblemClass};
 
     fn ctx() -> Ctx {
         Ctx::new(Machine::cm5(8))
@@ -151,7 +143,7 @@ mod tests {
             ("transpose", run_transpose),
         ] {
             let ctx = ctx();
-            let out = f(&ctx, Size::Small);
+            let out = f(&ctx, Size::Class(ProblemClass::S));
             assert!(out.verify.is_pass(), "{name}: {}", out.verify);
         }
     }
@@ -164,7 +156,7 @@ mod tests {
             run_transpose,
         ] {
             let ctx = ctx();
-            let _ = f(&ctx, Size::Small);
+            let _ = f(&ctx, Size::Class(ProblemClass::S));
             // scatter's combining hot-spot pass legitimately adds; the
             // plain data-motion paths must not.
             let flops = ctx.instr.flops();
@@ -175,7 +167,7 @@ mod tests {
     #[test]
     fn reduction_charges_n_minus_1() {
         let ctx = ctx();
-        let _ = run_reduction(&ctx, Size::Small);
+        let _ = run_reduction(&ctx, Size::Class(ProblemClass::S));
         let n = 1u64 << 10;
         let side = 32u64;
         assert_eq!(ctx.instr.flops(), (n - 1) + side * (side - 1));
@@ -184,10 +176,10 @@ mod tests {
     #[test]
     fn patterns_match_paper_section2() {
         let ctx = ctx();
-        let _ = run_gather(&ctx, Size::Small);
+        let _ = run_gather(&ctx, Size::Class(ProblemClass::S));
         assert_eq!(ctx.instr.pattern_calls(CommPattern::Gather), 2);
         let ctx = Ctx::new(Machine::cm5(8));
-        let _ = run_transpose(&ctx, Size::Small);
+        let _ = run_transpose(&ctx, Size::Class(ProblemClass::S));
         assert_eq!(ctx.instr.pattern_calls(CommPattern::Aapc), 2);
     }
 }

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use dpf_core::{
     derive_seed, install_quiet_panic_hook, set_quiet_panics, Backend, BenchReport, BufferPool, Ctx,
-    DpfError, FaultPlan, Machine, RecoverMode,
+    DpfError, FaultPlan, Machine, ProblemClass, RecoverMode,
 };
 
 use crate::benchmark::{BenchEntry, RunOutput, Size, Version};
@@ -364,7 +364,7 @@ impl Default for SuiteConfig {
     fn default() -> Self {
         SuiteConfig {
             machine: Machine::cm5(32),
-            size: Size::Small,
+            size: Size::Class(ProblemClass::S),
             faults: FaultPlan::default(),
             timeout: Duration::from_secs(300),
             retries: 0,
@@ -851,7 +851,7 @@ mod tests {
     #[test]
     fn harness_produces_complete_reports() {
         let entry = registry::find("conj-grad").unwrap();
-        let res = run_basic(&entry, &Machine::cm5(8), Size::Small);
+        let res = run_basic(&entry, &Machine::cm5(8), Size::Class(ProblemClass::S));
         assert!(res.report.verify.is_pass());
         assert!(res.report.perf.flops > 0);
         assert!(res.report.perf.elapsed.as_nanos() > 0);
@@ -865,7 +865,7 @@ mod tests {
     fn busy_time_is_within_elapsed() {
         for name in ["fft", "ellip-2D", "step4"] {
             let entry = registry::find(name).unwrap();
-            let res = run_basic(&entry, &Machine::cm5(4), Size::Small);
+            let res = run_basic(&entry, &Machine::cm5(4), Size::Class(ProblemClass::S));
             assert!(
                 res.report.perf.busy <= res.report.perf.elapsed,
                 "{name}: busy {:?} > elapsed {:?}",
@@ -879,7 +879,12 @@ mod tests {
     #[should_panic(expected = "has no")]
     fn missing_variant_panics() {
         let entry = registry::find("boson").unwrap();
-        let _ = run(&entry, Version::CDpeac, &Machine::cm5(4), Size::Small);
+        let _ = run(
+            &entry,
+            Version::CDpeac,
+            &Machine::cm5(4),
+            Size::Class(ProblemClass::S),
+        );
     }
 
     fn small_cfg() -> SuiteConfig {

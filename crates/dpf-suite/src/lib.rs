@@ -9,7 +9,6 @@
 //! * [`comm_bench`] — the four §2 communication benchmarks themselves.
 //! * [`soak`] — the `dpf soak` chaos driver: seeded randomized kill/fault
 //!   schedules swept over the registry with a deterministic summary.
-//! * [`classes`] — the NAS-style S/W/A/B/C problem-class axis.
 //! * [`campaign`] — the multi-tenant campaign engine: a spec sweeps
 //!   (class × procs × backend × fault rate) into tenant suites run
 //!   concurrently on a bounded worker pool.
@@ -29,7 +28,6 @@
 pub mod artifact;
 pub mod benchmark;
 pub mod campaign;
-pub mod classes;
 pub mod comm_bench;
 pub mod harness;
 pub mod journal;
@@ -47,7 +45,7 @@ pub use campaign::{
     run_campaign, run_campaign_with, CampaignOutcome, CampaignReport, CampaignRun, CampaignSpec,
     CampaignStats, CommRow, ExecMode, TenantResult, TenantRow, TenantSpec,
 };
-pub use classes::ProblemClass;
+pub use dpf_core::ProblemClass;
 pub use harness::{
     run, run_basic, run_guarded, run_on, run_suite, CancelToken, Cancelled, GuardedResult,
     HarnessResult, RunOutcome, SuiteConfig, SuiteReport, SuiteRow,

@@ -1,5 +1,7 @@
-//! Size-tiered runner functions for every benchmark (the glue between the
-//! registry and the implementation crates).
+//! Runner functions for every benchmark (the glue between the registry
+//! and the implementation crates). Each derives its shapes from the
+//! problem class with [`ProblemClass::pow2`](dpf_core::ProblemClass::pow2)
+//! and [`ProblemClass::linear`](dpf_core::ProblemClass::linear).
 
 use dpf_array::PAR;
 use dpf_core::{Ctx, DpfError, Verify};
@@ -35,12 +37,8 @@ pub fn matvec_library(ctx: &Ctx, size: Size) -> RunOutput {
 
 fn matvec_impl(ctx: &Ctx, size: Size, library: bool) -> RunOutput {
     use dpf_linalg::matvec;
-    let (ni, n, m) = match size {
-        Size::Small => (2, 16, 16),
-        Size::Medium => (4, 128, 128),
-        Size::Large => (4, 512, 512),
-        Size::Class(c) => (c.linear(2), c.pow2(16), c.pow2(16)),
-    };
+    let Size::Class(c) = size;
+    let (ni, n, m) = (c.linear(2), c.pow2(16), c.pow2(16));
     let (a, x) = matvec::workload(ctx, matvec::MvLayout::Instances, ni, n, m);
     let y = if library {
         matvec::matvec_library(ctx, &a, &x)
@@ -58,12 +56,8 @@ fn matvec_impl(ctx: &Ctx, size: Size, library: bool) -> RunOutput {
 /// `lu` — factor + solve, timed as separate phases.
 pub fn lu(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_linalg::lu;
-    let (n, r) = match size {
-        Size::Small => (16, 2),
-        Size::Medium => (96, 4),
-        Size::Large => (256, 8),
-        Size::Class(c) => (c.linear(16), c.linear(2)),
-    };
+    let Size::Class(c) = size;
+    let (n, r) = (c.linear(16), c.linear(2));
     let (a, b) = lu::workload(ctx, n, r);
     let f = ctx.phase("lu:factor", || lu::lu_factor(ctx, &a));
     let x = ctx.phase("lu:solve", || lu::lu_solve(ctx, &f, &b));
@@ -78,12 +72,8 @@ pub fn lu(ctx: &Ctx, size: Size) -> RunOutput {
 /// `lu`, CMSSL (blocked) version.
 pub fn lu_blocked(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_linalg::lu;
-    let (n, r, nb) = match size {
-        Size::Small => (16, 2, 4),
-        Size::Medium => (96, 4, 16),
-        Size::Large => (256, 8, 32),
-        Size::Class(c) => (c.linear(16), c.linear(2), c.linear(4)),
-    };
+    let Size::Class(c) = size;
+    let (n, r, nb) = (c.linear(16), c.linear(2), c.linear(4));
     let (a, b) = lu::workload(ctx, n, r);
     let f = ctx.phase("lu:factor", || lu::lu_factor_blocked(ctx, &a, nb));
     let x = ctx.phase("lu:solve", || lu::lu_solve(ctx, &f, &b));
@@ -98,12 +88,8 @@ pub fn lu_blocked(ctx: &Ctx, size: Size) -> RunOutput {
 /// `qr` — factor + solve phases.
 pub fn qr(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_linalg::qr;
-    let (m, n, r) = match size {
-        Size::Small => (24, 12, 2),
-        Size::Medium => (128, 64, 4),
-        Size::Large => (384, 192, 4),
-        Size::Class(c) => (c.linear(24), c.linear(12), c.linear(2)),
-    };
+    let Size::Class(c) = size;
+    let (m, n, r) = (c.linear(24), c.linear(12), c.linear(2));
     let (a, b, x_true) = qr::workload(ctx, m, n, r);
     let f = ctx.phase("qr:factor", || qr::qr_factor(ctx, &a));
     let x = ctx.phase("qr:solve", || qr::qr_solve(ctx, &f, &b));
@@ -118,12 +104,8 @@ pub fn qr(ctx: &Ctx, size: Size) -> RunOutput {
 /// `gauss-jordan`.
 pub fn gauss_jordan(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_linalg::gauss_jordan as gj;
-    let n = match size {
-        Size::Small => 16,
-        Size::Medium => 96,
-        Size::Large => 256,
-        Size::Class(c) => c.linear(16),
-    };
+    let Size::Class(c) = size;
+    let n = c.linear(16);
     let (a, b) = gj::workload(ctx, n);
     let x = gj::gauss_jordan_solve(ctx, &a, &b);
     RunOutput {
@@ -151,21 +133,13 @@ pub fn pcr_3d(ctx: &Ctx, size: Size) -> RunOutput {
 
 fn pcr_impl(ctx: &Ctx, size: Size, rank: usize) -> RunOutput {
     use dpf_linalg::pcr;
-    let shape: Vec<usize> = match (rank, size) {
-        (1, Size::Small) => vec![64],
-        (1, Size::Medium) => vec![4096],
-        (1, Size::Large) => vec![1 << 18],
-        (2, Size::Small) => vec![4, 32],
-        (2, Size::Medium) => vec![16, 512],
-        (2, Size::Large) => vec![64, 4096],
-        (3, Size::Small) => vec![2, 4, 16],
-        (3, Size::Medium) => vec![8, 16, 64],
-        (3, Size::Large) => vec![16, 64, 256],
-        // Class axis: only the solved (last) dimension must stay a power
-        // of two; batch dimensions grow linearly to bound memory.
-        (1, Size::Class(c)) => vec![c.pow2(64)],
-        (2, Size::Class(c)) => vec![c.linear(4), c.pow2(32)],
-        (3, Size::Class(c)) => vec![c.linear(2), c.linear(4), c.pow2(16)],
+    let Size::Class(c) = size;
+    // Only the solved (last) dimension must stay a power of two; batch
+    // dimensions grow linearly to bound memory.
+    let shape: Vec<usize> = match rank {
+        1 => vec![c.pow2(64)],
+        2 => vec![c.linear(4), c.pow2(32)],
+        3 => vec![c.linear(2), c.linear(4), c.pow2(16)],
         _ => unreachable!(),
     };
     let axes = vec![PAR; shape.len()];
@@ -183,12 +157,8 @@ fn pcr_impl(ctx: &Ctx, size: Size, rank: usize) -> RunOutput {
 /// `conj-grad`.
 pub fn conj_grad(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_linalg::conj_grad as cg;
-    let n = match size {
-        Size::Small => 128,
-        Size::Medium => 4096,
-        Size::Large => 1 << 16,
-        Size::Class(c) => c.pow2(128),
-    };
+    let Size::Class(c) = size;
+    let n = c.pow2(128);
     let sys = cg::workload(ctx, n);
     let every = ctx.faults.checkpoint_every();
     if every > 0 {
@@ -214,12 +184,8 @@ pub fn conj_grad(ctx: &Ctx, size: Size) -> RunOutput {
 /// `conj-grad`, optimized (fused-kernel) version.
 pub fn conj_grad_optimized(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_linalg::conj_grad as cg;
-    let n = match size {
-        Size::Small => 128,
-        Size::Medium => 4096,
-        Size::Large => 1 << 16,
-        Size::Class(c) => c.pow2(128),
-    };
+    let Size::Class(c) = size;
+    let n = c.pow2(128);
     let sys = cg::workload(ctx, n);
     let out = cg::cg_solve_optimized(ctx, &sys, 1e-11, 10 * n);
     RunOutput {
@@ -233,12 +199,8 @@ pub fn conj_grad_optimized(ctx: &Ctx, size: Size) -> RunOutput {
 /// `jacobi`.
 pub fn jacobi(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_linalg::jacobi as jc;
-    let n = match size {
-        Size::Small => 8,
-        Size::Medium => 24,
-        Size::Large => 48,
-        Size::Class(c) => c.linear(8),
-    };
+    let Size::Class(c) = size;
+    let n = c.linear(8);
     let a = jc::workload(ctx, n);
     let every = ctx.faults.checkpoint_every();
     if every > 0 {
@@ -264,18 +226,14 @@ pub fn jacobi(ctx: &Ctx, size: Size) -> RunOutput {
 /// `fft` — 1-D, 2-D and 3-D round trips (Table 4's three rows).
 pub fn fft(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_linalg::fft_bench as fb;
-    let shapes: [Vec<usize>; 3] = match size {
-        Size::Small => [vec![256], vec![16, 16], vec![8, 8, 8]],
-        Size::Medium => [vec![1 << 16], vec![256, 256], vec![32, 32, 32]],
-        Size::Large => [vec![1 << 20], vec![1024, 1024], vec![64, 64, 64]],
-        // Scale the leading axis only: every dimension stays a power of
-        // two and the 3-D round trip grows geometrically, not cubed.
-        Size::Class(c) => [
-            vec![c.pow2(256)],
-            vec![c.pow2(16), 16],
-            vec![c.pow2(8), 8, 8],
-        ],
-    };
+    let Size::Class(c) = size;
+    // Scale the leading axis only: every dimension stays a power of
+    // two and the 3-D round trip grows geometrically, not cubed.
+    let shapes: [Vec<usize>; 3] = [
+        vec![c.pow2(256)],
+        vec![c.pow2(16), 16],
+        vec![c.pow2(8), 8, 8],
+    ];
     let mut worst = Verify::NotApplicable;
     let mut points = 0u64;
     for shape in &shapes {
@@ -304,26 +262,12 @@ pub fn fft(ctx: &Ctx, size: Size) -> RunOutput {
 /// `boson`.
 pub fn boson(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::boson as b;
-    let p = match size {
-        Size::Small => b::Params {
-            nt: 4,
-            nx: 8,
-            sweeps: 3,
-            ..Default::default()
-        },
-        Size::Medium => b::Params::default(),
-        Size::Large => b::Params {
-            nt: 16,
-            nx: 32,
-            sweeps: 20,
-            ..Default::default()
-        },
-        Size::Class(c) => b::Params {
-            nt: c.pow2(4),
-            nx: c.pow2(8),
-            sweeps: c.linear(3),
-            ..Default::default()
-        },
+    let Size::Class(c) = size;
+    let p = b::Params {
+        nt: c.pow2(4),
+        nx: c.pow2(8),
+        sweeps: c.linear(3),
+        ..Default::default()
     };
     let (_, verify) = b::run(ctx, &p);
     RunOutput {
@@ -337,23 +281,11 @@ pub fn boson(ctx: &Ctx, size: Size) -> RunOutput {
 /// `diff-1D`.
 pub fn diff_1d(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::diff_1d as d;
-    let p = match size {
-        Size::Small => d::Params {
-            nx: 64,
-            steps: 4,
-            ..Default::default()
-        },
-        Size::Medium => d::Params::default(),
-        Size::Large => d::Params {
-            nx: 1 << 16,
-            steps: 16,
-            ..Default::default()
-        },
-        Size::Class(c) => d::Params {
-            nx: c.pow2(64),
-            steps: c.linear(4),
-            ..Default::default()
-        },
+    let Size::Class(c) = size;
+    let p = d::Params {
+        nx: c.pow2(64),
+        steps: c.linear(4),
+        ..Default::default()
     };
     let every = ctx.faults.checkpoint_every();
     if every > 0 {
@@ -382,23 +314,11 @@ pub fn diff_1d(ctx: &Ctx, size: Size) -> RunOutput {
 /// `diff-2D`.
 pub fn diff_2d(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::diff_2d as d;
-    let p = match size {
-        Size::Small => d::Params {
-            nx: 16,
-            steps: 3,
-            ..Default::default()
-        },
-        Size::Medium => d::Params::default(),
-        Size::Large => d::Params {
-            nx: 512,
-            steps: 10,
-            ..Default::default()
-        },
-        Size::Class(c) => d::Params {
-            nx: c.linear(16),
-            steps: c.linear(3),
-            ..Default::default()
-        },
+    let Size::Class(c) = size;
+    let p = d::Params {
+        nx: c.linear(16),
+        steps: c.linear(3),
+        ..Default::default()
     };
     let every = ctx.faults.checkpoint_every();
     if every > 0 {
@@ -428,27 +348,20 @@ pub fn diff_2d(ctx: &Ctx, size: Size) -> RunOutput {
     }
 }
 
+/// `diff-3D` shape, shared by the basic and optimized runners.
+fn diff_3d_params(size: Size) -> dpf_apps::diff_3d::Params {
+    let Size::Class(c) = size;
+    dpf_apps::diff_3d::Params {
+        n: c.linear(8),
+        steps: c.linear(3),
+        ..Default::default()
+    }
+}
+
 /// `diff-3D`.
 pub fn diff_3d(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::diff_3d as d;
-    let p = match size {
-        Size::Small => d::Params {
-            n: 8,
-            steps: 3,
-            ..Default::default()
-        },
-        Size::Medium => d::Params::default(),
-        Size::Large => d::Params {
-            n: 96,
-            steps: 20,
-            ..Default::default()
-        },
-        Size::Class(c) => d::Params {
-            n: c.linear(8),
-            steps: c.linear(3),
-            ..Default::default()
-        },
-    };
+    let p = diff_3d_params(size);
     let every = ctx.faults.checkpoint_every();
     if every > 0 {
         return match d::run_checkpointed(ctx, &p, every, MAX_RESTORES) {
@@ -480,24 +393,7 @@ pub fn diff_3d(ctx: &Ctx, size: Size) -> RunOutput {
 /// `diff-3D`, optimized (fused node-level kernel) version.
 pub fn diff_3d_optimized(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::diff_3d as d;
-    let p = match size {
-        Size::Small => d::Params {
-            n: 8,
-            steps: 3,
-            ..Default::default()
-        },
-        Size::Medium => d::Params::default(),
-        Size::Large => d::Params {
-            n: 96,
-            steps: 20,
-            ..Default::default()
-        },
-        Size::Class(c) => d::Params {
-            n: c.linear(8),
-            steps: c.linear(3),
-            ..Default::default()
-        },
-    };
+    let p = diff_3d_params(size);
     let (_, verify) = d::run_optimized(ctx, &p);
     RunOutput {
         problem: format!("n={}, steps={} (fused)", p.n, p.steps),
@@ -510,21 +406,10 @@ pub fn diff_3d_optimized(ctx: &Ctx, size: Size) -> RunOutput {
 /// `ellip-2D`.
 pub fn ellip_2d(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::ellip_2d as e;
-    let p = match size {
-        Size::Small => e::Params {
-            n: 16,
-            ..Default::default()
-        },
-        Size::Medium => e::Params::default(),
-        Size::Large => e::Params {
-            n: 192,
-            max_iter: 4000,
-            ..Default::default()
-        },
-        Size::Class(c) => e::Params {
-            n: c.linear(16),
-            ..Default::default()
-        },
+    let Size::Class(c) = size;
+    let p = e::Params {
+        n: c.linear(16),
+        ..Default::default()
     };
     let (_, iters, verify) = e::run(ctx, &p);
     RunOutput {
@@ -538,22 +423,11 @@ pub fn ellip_2d(ctx: &Ctx, size: Size) -> RunOutput {
 /// `fem-3D`.
 pub fn fem_3d(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::fem_3d as f;
-    let p = match size {
-        Size::Small => f::Params {
-            nv_side: 4,
-            ..Default::default()
-        },
-        Size::Medium => f::Params::default(),
-        Size::Large => f::Params {
-            nv_side: 14,
-            max_iter: 1500,
-            ..Default::default()
-        },
-        Size::Class(c) => f::Params {
-            nv_side: c.linear(4),
-            max_iter: c.linear(500),
-            ..Default::default()
-        },
+    let Size::Class(c) = size;
+    let p = f::Params {
+        nv_side: c.linear(4),
+        max_iter: c.linear(500),
+        ..Default::default()
     };
     let (_, iters, verify) = f::run(ctx, &p);
     RunOutput {
@@ -564,27 +438,20 @@ pub fn fem_3d(ctx: &Ctx, size: Size) -> RunOutput {
     }
 }
 
+/// `fermion` shape, shared by the basic and optimized runners.
+fn fermion_params(size: Size) -> dpf_apps::fermion::Params {
+    let Size::Class(c) = size;
+    dpf_apps::fermion::Params {
+        sites: c.pow2(16),
+        l: c.linear(4),
+        chain: c.linear(2),
+    }
+}
+
 /// `fermion`.
 pub fn fermion(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::fermion as f;
-    let p = match size {
-        Size::Small => f::Params {
-            sites: 16,
-            l: 4,
-            chain: 2,
-        },
-        Size::Medium => f::Params::default(),
-        Size::Large => f::Params {
-            sites: 1024,
-            l: 12,
-            chain: 8,
-        },
-        Size::Class(c) => f::Params {
-            sites: c.pow2(16),
-            l: c.linear(4),
-            chain: c.linear(2),
-        },
-    };
+    let p = fermion_params(size);
     let (_, verify) = f::run(ctx, &p);
     RunOutput {
         problem: format!("sites={}, l={}, chain={}", p.sites, p.l, p.chain),
@@ -597,24 +464,7 @@ pub fn fermion(ctx: &Ctx, size: Size) -> RunOutput {
 /// `fermion`, optimized (rayon + pre-resolved indirection) version.
 pub fn fermion_optimized(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::fermion as f;
-    let p = match size {
-        Size::Small => f::Params {
-            sites: 16,
-            l: 4,
-            chain: 2,
-        },
-        Size::Medium => f::Params::default(),
-        Size::Large => f::Params {
-            sites: 1024,
-            l: 12,
-            chain: 8,
-        },
-        Size::Class(c) => f::Params {
-            sites: c.pow2(16),
-            l: c.linear(4),
-            chain: c.linear(2),
-        },
-    };
+    let p = fermion_params(size);
     let (_, verify) = f::run_optimized(ctx, &p);
     RunOutput {
         problem: format!("sites={}, l={}, chain={} (par)", p.sites, p.l, p.chain),
@@ -627,26 +477,12 @@ pub fn fermion_optimized(ctx: &Ctx, size: Size) -> RunOutput {
 /// `gmo`.
 pub fn gmo(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::gmo as g;
-    let p = match size {
-        Size::Small => g::Params {
-            ns: 64,
-            ntr: 16,
-            t0: 20.0,
-            ..Default::default()
-        },
-        Size::Medium => g::Params::default(),
-        Size::Large => g::Params {
-            ns: 2048,
-            ntr: 512,
-            t0: 512.0,
-            ..Default::default()
-        },
-        Size::Class(c) => g::Params {
-            ns: c.pow2(64),
-            ntr: c.pow2(16),
-            t0: c.pow2(20) as f64,
-            ..Default::default()
-        },
+    let Size::Class(c) = size;
+    let p = g::Params {
+        ns: c.pow2(64),
+        ntr: c.pow2(16),
+        t0: c.pow2(20) as f64,
+        ..Default::default()
     };
     let (_, verify) = g::run(ctx, &p);
     RunOutput {
@@ -660,26 +496,12 @@ pub fn gmo(ctx: &Ctx, size: Size) -> RunOutput {
 /// `ks-spectral`.
 pub fn ks_spectral(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::ks_spectral as k;
-    let p = match size {
-        Size::Small => k::Params {
-            ne: 2,
-            nx: 32,
-            steps: 5,
-            ..Default::default()
-        },
-        Size::Medium => k::Params::default(),
-        Size::Large => k::Params {
-            ne: 8,
-            nx: 512,
-            steps: 50,
-            ..Default::default()
-        },
-        Size::Class(c) => k::Params {
-            ne: c.linear(2),
-            nx: c.pow2(32),
-            steps: c.linear(5),
-            ..Default::default()
-        },
+    let Size::Class(c) = size;
+    let p = k::Params {
+        ne: c.linear(2),
+        nx: c.pow2(32),
+        steps: c.linear(5),
+        ..Default::default()
     };
     let (_, verify) = k::run(ctx, &p);
     RunOutput {
@@ -693,23 +515,11 @@ pub fn ks_spectral(ctx: &Ctx, size: Size) -> RunOutput {
 /// `md`.
 pub fn md(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::md as m;
-    let p = match size {
-        Size::Small => m::Params {
-            side: 2,
-            steps: 5,
-            ..Default::default()
-        },
-        Size::Medium => m::Params::default(),
-        Size::Large => m::Params {
-            side: 6,
-            steps: 20,
-            ..Default::default()
-        },
-        Size::Class(c) => m::Params {
-            side: c.linear(2),
-            steps: c.linear(5),
-            ..Default::default()
-        },
+    let Size::Class(c) = size;
+    let p = m::Params {
+        side: c.linear(2),
+        steps: c.linear(5),
+        ..Default::default()
     };
     let every = ctx.faults.checkpoint_every();
     if every > 0 {
@@ -744,25 +554,11 @@ pub fn md(ctx: &Ctx, size: Size) -> RunOutput {
 /// `mdcell`.
 pub fn mdcell(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::mdcell as m;
-    let p = match size {
-        Size::Small => m::Params {
-            nc: 3,
-            steps: 2,
-            ..Default::default()
-        },
-        Size::Medium => m::Params::default(),
-        Size::Large => m::Params {
-            nc: 8,
-            cap: 8,
-            fill: 3.0,
-            steps: 8,
-            ..Default::default()
-        },
-        Size::Class(c) => m::Params {
-            nc: c.linear(3),
-            steps: c.linear(2),
-            ..Default::default()
-        },
+    let Size::Class(c) = size;
+    let p = m::Params {
+        nc: c.linear(3),
+        steps: c.linear(2),
+        ..Default::default()
     };
     let (_, verify) = m::run(ctx, &p);
     RunOutput {
@@ -785,12 +581,8 @@ pub fn n_body_symmetry(ctx: &Ctx, size: Size) -> RunOutput {
 
 fn n_body_impl(ctx: &Ctx, size: Size, variant: dpf_apps::n_body::Variant) -> RunOutput {
     use dpf_apps::n_body as nb;
-    let n = match size {
-        Size::Small => 24,
-        Size::Medium => 128,
-        Size::Large => 512,
-        Size::Class(c) => c.pow2(24),
-    };
+    let Size::Class(c) = size;
+    let n = c.pow2(24);
     let p = nb::Params { n, eps2: 1e-2 };
     let (_, _, verify) = nb::run(ctx, &p, variant);
     RunOutput {
@@ -804,26 +596,12 @@ fn n_body_impl(ctx: &Ctx, size: Size, variant: dpf_apps::n_body::Variant) -> Run
 /// `pic-simple`.
 pub fn pic_simple(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::pic_simple as p;
-    let pars = match size {
-        Size::Small => p::Params {
-            np: 128,
-            ng: 8,
-            steps: 3,
-            ..Default::default()
-        },
-        Size::Medium => p::Params::default(),
-        Size::Large => p::Params {
-            np: 1 << 14,
-            ng: 128,
-            steps: 10,
-            ..Default::default()
-        },
-        Size::Class(c) => p::Params {
-            np: c.pow2(128),
-            ng: c.pow2(8),
-            steps: c.linear(3),
-            ..Default::default()
-        },
+    let Size::Class(c) = size;
+    let pars = p::Params {
+        np: c.pow2(128),
+        ng: c.pow2(8),
+        steps: c.linear(3),
+        ..Default::default()
     };
     let (_, verify) = p::run(ctx, &pars);
     RunOutput {
@@ -837,23 +615,11 @@ pub fn pic_simple(ctx: &Ctx, size: Size) -> RunOutput {
 /// `pic-gather-scatter`.
 pub fn pic_gather_scatter(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::pic_gather_scatter as p;
-    let pars = match size {
-        Size::Small => p::Params {
-            np: 128,
-            ng: 4,
-            steps: 2,
-        },
-        Size::Medium => p::Params::default(),
-        Size::Large => p::Params {
-            np: 1 << 16,
-            ng: 16,
-            steps: 8,
-        },
-        Size::Class(c) => p::Params {
-            np: c.pow2(128),
-            ng: c.linear(4),
-            steps: c.linear(2),
-        },
+    let Size::Class(c) = size;
+    let pars = p::Params {
+        np: c.pow2(128),
+        ng: c.linear(4),
+        steps: c.linear(2),
     };
     let (_, verify) = p::run(ctx, &pars);
     RunOutput {
@@ -867,22 +633,11 @@ pub fn pic_gather_scatter(ctx: &Ctx, size: Size) -> RunOutput {
 /// `qcd-kernel`.
 pub fn qcd_kernel(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::qcd_kernel as q;
-    let p = match size {
-        Size::Small => q::Params {
-            n: 2,
-            ..Default::default()
-        },
-        Size::Medium => q::Params::default(),
-        Size::Large => q::Params {
-            n: 6,
-            max_iter: 400,
-            ..Default::default()
-        },
-        Size::Class(c) => q::Params {
-            n: c.linear(2),
-            max_iter: c.linear(200),
-            ..Default::default()
-        },
+    let Size::Class(c) = size;
+    let p = q::Params {
+        n: c.linear(2),
+        max_iter: c.linear(200),
+        ..Default::default()
     };
     let (_, iters, verify) = q::run(ctx, &p);
     RunOutput {
@@ -896,23 +651,11 @@ pub fn qcd_kernel(ctx: &Ctx, size: Size) -> RunOutput {
 /// `qmc`.
 pub fn qmc(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::qmc as q;
-    let p = match size {
-        Size::Small => q::Params {
-            n_walkers: 512,
-            blocks: 12,
-            ..Default::default()
-        },
-        Size::Medium => q::Params::default(),
-        Size::Large => q::Params {
-            n_walkers: 8192,
-            blocks: 60,
-            ..Default::default()
-        },
-        Size::Class(c) => q::Params {
-            n_walkers: c.pow2(512),
-            blocks: c.linear(12),
-            ..Default::default()
-        },
+    let Size::Class(c) = size;
+    let p = q::Params {
+        n_walkers: c.pow2(512),
+        blocks: c.linear(12),
+        ..Default::default()
     };
     let blocks = p.blocks;
     let walkers = p.n_walkers;
@@ -928,26 +671,12 @@ pub fn qmc(ctx: &Ctx, size: Size) -> RunOutput {
 /// `qptransport`.
 pub fn qptransport(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::qptransport as q;
-    let p = match size {
-        Size::Small => q::Params {
-            n_src: 8,
-            n_dst: 6,
-            n_edges: 64,
-            iters: 40,
-        },
-        Size::Medium => q::Params::default(),
-        Size::Large => q::Params {
-            n_src: 128,
-            n_dst: 96,
-            n_edges: 1 << 14,
-            iters: 120,
-        },
-        Size::Class(c) => q::Params {
-            n_src: c.linear(8),
-            n_dst: c.linear(6),
-            n_edges: c.pow2(64),
-            iters: c.linear(40),
-        },
+    let Size::Class(c) = size;
+    let p = q::Params {
+        n_src: c.linear(8),
+        n_dst: c.linear(6),
+        n_edges: c.pow2(64),
+        iters: c.linear(40),
     };
     let iters = p.iters;
     let edges = p.n_edges;
@@ -963,23 +692,11 @@ pub fn qptransport(ctx: &Ctx, size: Size) -> RunOutput {
 /// `rp`.
 pub fn rp(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::rp as r;
-    let p = match size {
-        Size::Small => r::Params {
-            n: 6,
-            max_iter: 200,
-            ..Default::default()
-        },
-        Size::Medium => r::Params::default(),
-        Size::Large => r::Params {
-            n: 32,
-            max_iter: 1500,
-            ..Default::default()
-        },
-        Size::Class(c) => r::Params {
-            n: c.linear(6),
-            max_iter: c.linear(200),
-            ..Default::default()
-        },
+    let Size::Class(c) = size;
+    let p = r::Params {
+        n: c.linear(6),
+        max_iter: c.linear(200),
+        ..Default::default()
     };
     let (_, iters, verify) = r::run(ctx, &p);
     RunOutput {
@@ -990,27 +707,20 @@ pub fn rp(ctx: &Ctx, size: Size) -> RunOutput {
     }
 }
 
+/// `step4` shape, shared by the basic and optimized runners.
+fn step4_params(size: Size) -> dpf_apps::step4::Params {
+    let Size::Class(c) = size;
+    dpf_apps::step4::Params {
+        n: c.pow2(16),
+        steps: c.linear(3),
+        ..Default::default()
+    }
+}
+
 /// `step4`.
 pub fn step4(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::step4 as s;
-    let p = match size {
-        Size::Small => s::Params {
-            n: 16,
-            steps: 3,
-            ..Default::default()
-        },
-        Size::Medium => s::Params::default(),
-        Size::Large => s::Params {
-            n: 256,
-            steps: 30,
-            ..Default::default()
-        },
-        Size::Class(c) => s::Params {
-            n: c.pow2(16),
-            steps: c.linear(3),
-            ..Default::default()
-        },
-    };
+    let p = step4_params(size);
     let (_, verify) = s::run(ctx, &p);
     RunOutput {
         problem: format!("n={}, steps={}", p.n, p.steps),
@@ -1023,24 +733,7 @@ pub fn step4(ctx: &Ctx, size: Size) -> RunOutput {
 /// `step4`, optimized (fused C/DPEAC-style kernel) version.
 pub fn step4_optimized(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::step4 as s4;
-    let p = match size {
-        Size::Small => s4::Params {
-            n: 16,
-            steps: 3,
-            ..Default::default()
-        },
-        Size::Medium => s4::Params::default(),
-        Size::Large => s4::Params {
-            n: 256,
-            steps: 30,
-            ..Default::default()
-        },
-        Size::Class(c) => s4::Params {
-            n: c.pow2(16),
-            steps: c.linear(3),
-            ..Default::default()
-        },
-    };
+    let p = step4_params(size);
     let (_, verify) = s4::run_optimized(ctx, &p);
     RunOutput {
         problem: format!("n={}, steps={} (fused)", p.n, p.steps),
@@ -1050,27 +743,20 @@ pub fn step4_optimized(ctx: &Ctx, size: Size) -> RunOutput {
     }
 }
 
+/// `wave-1D` shape, shared by the basic and optimized runners.
+fn wave_1d_params(size: Size) -> dpf_apps::wave_1d::Params {
+    let Size::Class(c) = size;
+    dpf_apps::wave_1d::Params {
+        nx: c.pow2(64),
+        steps: c.linear(10),
+        ..Default::default()
+    }
+}
+
 /// `wave-1D`.
 pub fn wave_1d(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::wave_1d as w;
-    let p = match size {
-        Size::Small => w::Params {
-            nx: 64,
-            steps: 10,
-            ..Default::default()
-        },
-        Size::Medium => w::Params::default(),
-        Size::Large => w::Params {
-            nx: 1 << 14,
-            steps: 100,
-            ..Default::default()
-        },
-        Size::Class(c) => w::Params {
-            nx: c.pow2(64),
-            steps: c.linear(10),
-            ..Default::default()
-        },
-    };
+    let p = wave_1d_params(size);
     let every = ctx.faults.checkpoint_every();
     if every > 0 {
         return match w::run_checkpointed(ctx, &p, every, MAX_RESTORES) {
@@ -1098,24 +784,7 @@ pub fn wave_1d(ctx: &Ctx, size: Size) -> RunOutput {
 /// `wave-1D`, optimized (fused flux kernel) version.
 pub fn wave_1d_optimized(ctx: &Ctx, size: Size) -> RunOutput {
     use dpf_apps::wave_1d as w;
-    let p = match size {
-        Size::Small => w::Params {
-            nx: 64,
-            steps: 10,
-            ..Default::default()
-        },
-        Size::Medium => w::Params::default(),
-        Size::Large => w::Params {
-            nx: 1 << 14,
-            steps: 100,
-            ..Default::default()
-        },
-        Size::Class(c) => w::Params {
-            nx: c.pow2(64),
-            steps: c.linear(10),
-            ..Default::default()
-        },
-    };
+    let p = wave_1d_params(size);
     let mut st = w::workload(ctx, &p);
     for _ in 0..p.steps {
         w::step_optimized(ctx, &p, &mut st);
@@ -1147,7 +816,7 @@ pub use crate::comm_bench::{run_gather, run_reduction, run_scatter, run_transpos
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpf_core::Machine;
+    use dpf_core::{Machine, ProblemClass};
 
     #[test]
     fn every_linalg_runner_verifies_small() {
@@ -1165,7 +834,7 @@ mod tests {
         ];
         for (name, f) in runners {
             let ctx = Ctx::new(Machine::cm5(8));
-            let out = f(&ctx, Size::Small);
+            let out = f(&ctx, Size::Class(ProblemClass::S));
             assert!(out.verify.is_pass(), "{name}: {}", out.verify);
             assert!(out.points > 0);
         }
@@ -1175,7 +844,7 @@ mod tests {
     fn pcr_variants_all_verify() {
         for f in [pcr_1d, pcr_2d, pcr_3d] {
             let ctx = Ctx::new(Machine::cm5(8));
-            assert!(f(&ctx, Size::Small).verify.is_pass());
+            assert!(f(&ctx, Size::Class(ProblemClass::S)).verify.is_pass());
         }
     }
 
@@ -1183,7 +852,7 @@ mod tests {
     fn n_body_variants_verify() {
         for f in [n_body_broadcast, n_body_symmetry] {
             let ctx = Ctx::new(Machine::cm5(8));
-            assert!(f(&ctx, Size::Small).verify.is_pass());
+            assert!(f(&ctx, Size::Class(ProblemClass::S)).verify.is_pass());
         }
     }
 }

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use dpf_core::cost::CostModel;
-use dpf_core::{CommPattern, Machine};
+use dpf_core::{CommPattern, Machine, ProblemClass};
 
 use crate::benchmark::{Group, Size, Version};
 use crate::harness;
@@ -184,11 +184,11 @@ fn layouts_table(group: Group, title: &str) -> String {
 
 /// Tables 3 and 7 — measured communication patterns, classified by the
 /// rank of the arrays involved (runs every benchmark of the group at
-/// Small size and snapshots the recorded pattern keys).
+/// class S and snapshots the recorded pattern keys).
 pub fn comm_patterns_table(group: Group, machine: &Machine, title: &str) -> String {
     let mut rows: BTreeMap<CommPattern, Vec<String>> = BTreeMap::new();
     for e in registry().iter().filter(|e| e.group == group) {
-        let res = harness::run_basic(e, machine, Size::Small);
+        let res = harness::run_basic(e, machine, Size::Class(ProblemClass::S));
         let mut seen: BTreeMap<CommPattern, Vec<String>> = BTreeMap::new();
         for key in res.report.comm.keys() {
             let label = if key.src_rank == key.dst_rank {
@@ -321,7 +321,7 @@ pub fn perf_report(machine: &Machine, size: Size) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "DPF performance report — machine: {} virtual processors, size: {:?}",
+        "DPF performance report — machine: {} virtual processors, size: {}",
         machine.nprocs, size
     );
     let _ = writeln!(

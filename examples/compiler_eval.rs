@@ -11,10 +11,11 @@
 use std::time::Instant;
 
 use dpf::core::Machine;
-use dpf::suite::{find, run, Size, Version};
+use dpf::suite::{find, run, ProblemClass, Size, Version};
 
 fn main() {
     let entry = find("matrix-vector").expect("registry");
+    let size = Size::Class(ProblemClass::B);
     println!("matrix-vector: basic (compiler-visible) vs library (tuned kernel)\n");
     println!(
         "{:<8} {:<10} {:>12} {:>12} {:>12} {:>12}",
@@ -23,7 +24,7 @@ fn main() {
     for procs in [1usize, 8, 32, 128] {
         let machine = Machine::cm5(procs);
         for version in [Version::Basic, Version::Library] {
-            let res = run(&entry, version, &machine, Size::Large);
+            let res = run(&entry, version, &machine, size);
             assert!(res.report.verify.is_pass());
             let p = &res.report.perf;
             println!(
@@ -45,10 +46,10 @@ fn main() {
     let mut t_lib = f64::INFINITY;
     for _ in 0..trials {
         let s = Instant::now();
-        let _ = run(&entry, Version::Basic, &machine, Size::Large);
+        let _ = run(&entry, Version::Basic, &machine, size);
         t_basic = t_basic.min(s.elapsed().as_secs_f64());
         let s = Instant::now();
-        let _ = run(&entry, Version::Library, &machine, Size::Large);
+        let _ = run(&entry, Version::Library, &machine, size);
         t_lib = t_lib.min(s.elapsed().as_secs_f64());
     }
     println!(

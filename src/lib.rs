@@ -25,11 +25,11 @@
 //!
 //! ```
 //! use dpf::core::{Ctx, Machine};
-//! use dpf::suite::{find, run_basic, Size};
+//! use dpf::suite::{find, run_basic, ProblemClass, Size};
 //!
 //! // Run the conjugate-gradient benchmark on a 32-processor virtual CM-5.
 //! let entry = find("conj-grad").unwrap();
-//! let result = run_basic(&entry, &Machine::cm5(32), Size::Small);
+//! let result = run_basic(&entry, &Machine::cm5(32), Size::Class(ProblemClass::S));
 //! assert!(result.report.verify.is_pass());
 //! println!("{}", result.report);
 //! # let _ = Ctx::host();

@@ -399,7 +399,7 @@ fn single_processor_moves_no_channel_bytes() {
 /// map, the identical FLOP count and the identical memory accounting.
 #[test]
 fn benchmark_comm_metrics_are_backend_invariant() {
-    use dpf::suite::{find, run_on, Size, Version};
+    use dpf::suite::{find, run_on, ProblemClass, Size, Version};
     // All four §2 communication functions, plus samples of the linear
     // algebra and application groups covering every comm pattern family.
     let sample = [
@@ -425,10 +425,16 @@ fn benchmark_comm_metrics_are_backend_invariant() {
             &entry,
             Version::Basic,
             &machine,
-            Size::Small,
+            Size::Class(ProblemClass::S),
             Backend::Virtual,
         );
-        let rs = run_on(&entry, Version::Basic, &machine, Size::Small, Backend::Spmd);
+        let rs = run_on(
+            &entry,
+            Version::Basic,
+            &machine,
+            Size::Class(ProblemClass::S),
+            Backend::Spmd,
+        );
         assert!(rv.report.verify.is_pass(), "{name} failed under virtual");
         assert!(rs.report.verify.is_pass(), "{name} failed under spmd");
         assert_eq!(rv.report.comm, rs.report.comm, "{name}: comm maps differ");
@@ -525,11 +531,11 @@ fn lossy_transport_accounting_is_reproducible() {
 /// in a row under the SPMD backend.
 #[test]
 fn spmd_fault_injection_is_deterministic() {
-    use dpf::suite::{run_suite, Size, SuiteConfig};
+    use dpf::suite::{run_suite, ProblemClass, Size, SuiteConfig};
     use dpf::FaultPlan;
     let cfg = SuiteConfig {
         machine: Machine::cm5(8),
-        size: Size::Small,
+        size: Size::Class(ProblemClass::S),
         faults: FaultPlan::new(0.01, 42),
         backend: Backend::Spmd,
         ..SuiteConfig::default()

@@ -83,22 +83,3 @@ fn comm_inventory_is_class_invariant() {
         );
     }
 }
-
-#[test]
-fn class_s_matches_legacy_small_exactly() {
-    // Class S is defined to be the legacy Small problem parameter for
-    // parameter; the recorded metrics must agree exactly.
-    let machine = machine();
-    for entry in registry() {
-        let small = run_basic(&entry, &machine, Size::Small);
-        let class_s = run_basic(&entry, &machine, Size::Class(ProblemClass::S));
-        assert_eq!(
-            small.report.problem, class_s.report.problem,
-            "{}: class S solves a different problem than legacy Small",
-            entry.name
-        );
-        assert_eq!(small.report.perf.flops, class_s.report.perf.flops);
-        assert_eq!(small.report.memory_bytes, class_s.report.memory_bytes);
-        assert_eq!(small.report.comm, class_s.report.comm);
-    }
-}

@@ -5,7 +5,9 @@
 use std::time::Duration;
 
 use dpf::core::{derive_seed, Ctx, FaultKind, FaultPlan, Machine};
-use dpf::suite::{run_guarded, run_suite, RunOutcome, Size, SuiteConfig, Version};
+use dpf::suite::{run_guarded, run_suite, ProblemClass, RunOutcome, Size, SuiteConfig, Version};
+
+const CLASS_S: Size = Size::Class(ProblemClass::S);
 
 fn machine() -> Machine {
     Machine::cm5(8)
@@ -21,7 +23,7 @@ fn same_seed_gives_identical_fault_sites() {
     let records = |plan: FaultPlan| {
         let ctx = Ctx::with_faults(machine(), plan);
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            (variant.run)(&ctx, Size::Small)
+            (variant.run)(&ctx, CLASS_S)
         }));
         ctx.faults.records()
     };
@@ -49,7 +51,7 @@ fn guarded_outcomes_are_deterministic_across_runs() {
     let entry = dpf::find("wave-1D").unwrap();
     let cfg = SuiteConfig {
         machine: machine(),
-        size: Size::Small,
+        size: CLASS_S,
         faults: FaultPlan::new(0.02, 42),
         retries: 2,
         ..SuiteConfig::default()
@@ -72,7 +74,7 @@ fn injected_corruption_is_never_reported_as_pass() {
     for seed in [1u64, 2, 3, 4, 5] {
         let cfg = SuiteConfig {
             machine: machine(),
-            size: Size::Small,
+            size: CLASS_S,
             faults: FaultPlan::new(0.5, seed).only(FaultKind::NanPoison),
             ..SuiteConfig::default()
         };
@@ -91,7 +93,7 @@ fn forced_abort_is_isolated_and_recovered_by_retry() {
     let entry = dpf::find("fft").unwrap();
     let mut cfg = SuiteConfig {
         machine: machine(),
-        size: Size::Small,
+        size: CLASS_S,
         faults: FaultPlan::new(1.0, 9).only(FaultKind::Abort),
         ..SuiteConfig::default()
     };
@@ -114,7 +116,7 @@ fn stalled_run_times_out_instead_of_hanging() {
     let entry = dpf::find("conj-grad").unwrap();
     let cfg = SuiteConfig {
         machine: machine(),
-        size: Size::Small,
+        size: CLASS_S,
         faults: FaultPlan::new(1.0, 11)
             .only(FaultKind::Stall)
             .with_stall_ms(30_000),
@@ -150,7 +152,7 @@ fn suite_checkpointing_recovers_iterative_kernels() {
     plan.checkpoint_every = 2;
     let cfg = SuiteConfig {
         machine: machine(),
-        size: Size::Small,
+        size: CLASS_S,
         faults: plan,
         ..SuiteConfig::default()
     };
@@ -173,7 +175,7 @@ fn full_sweep_under_faults_is_clean_and_deterministic() {
     // and the whole outcome table must reproduce bit-for-bit.
     let cfg = SuiteConfig {
         machine: machine(),
-        size: Size::Small,
+        size: CLASS_S,
         faults: FaultPlan::new(0.01, 42),
         retries: 2,
         ..SuiteConfig::default()

@@ -6,14 +6,16 @@
 
 use dpf::apps::diff_1d;
 use dpf::core::{Backend, Ctx, FaultPlan, LinkFaultKind, Machine};
-use dpf::suite::{find, registry, run_guarded, run_suite, RunOutcome, Size, SuiteConfig, Version};
+use dpf::suite::{
+    find, registry, run_guarded, run_suite, ProblemClass, RunOutcome, Size, SuiteConfig, Version,
+};
 
 fn lossy_cfg(link_rate: f64, seed: u64, retries: u32) -> SuiteConfig {
     let mut faults = FaultPlan::default().with_link_faults(link_rate);
     faults.seed = seed;
     SuiteConfig {
         machine: Machine::cm5(8),
-        size: Size::Small,
+        size: Size::Class(ProblemClass::S),
         faults,
         retries,
         backend: Backend::Spmd,

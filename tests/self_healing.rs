@@ -7,12 +7,14 @@
 use std::time::Duration;
 
 use dpf::core::{Backend, Machine, RecoverMode};
-use dpf::suite::{run_guarded, run_soak, RunOutcome, Size, SoakConfig, SuiteConfig, Version};
+use dpf::suite::{
+    run_guarded, run_soak, ProblemClass, RunOutcome, Size, SoakConfig, SuiteConfig, Version,
+};
 
 fn spmd_cfg(nprocs: usize) -> SuiteConfig {
     SuiteConfig {
         machine: Machine::cm5(nprocs),
-        size: Size::Small,
+        size: Size::Class(ProblemClass::S),
         backend: Backend::Spmd,
         timeout: Duration::from_secs(300),
         ..SuiteConfig::default()

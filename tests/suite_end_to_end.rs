@@ -3,13 +3,15 @@
 //! metric set.
 
 use dpf::core::Machine;
-use dpf::suite::{registry, run_basic, Group, Size};
+use dpf::suite::{registry, run_basic, Group, ProblemClass, Size};
+
+const CLASS_S: Size = Size::Class(ProblemClass::S);
 
 #[test]
 fn all_32_benchmarks_run_and_verify() {
     let machine = Machine::cm5(8);
     for entry in registry() {
-        let res = run_basic(&entry, &machine, Size::Small);
+        let res = run_basic(&entry, &machine, CLASS_S);
         assert!(
             res.report.verify.is_pass(),
             "{} failed verification: {}",
@@ -34,7 +36,7 @@ fn communication_codes_move_data_off_processor() {
         .iter()
         .filter(|e| e.group == Group::Communication)
     {
-        let res = run_basic(entry, &machine, Size::Small);
+        let res = run_basic(entry, &machine, CLASS_S);
         assert!(
             res.report.offproc_bytes() > 0,
             "{} moved nothing off-processor",
@@ -50,7 +52,7 @@ fn single_processor_machine_reports_no_offproc_traffic_for_shifts() {
     let machine = Machine::cm5(1);
     for name in ["step4", "diff-3D", "ellip-2D"] {
         let entry = dpf::suite::find(name).unwrap();
-        let res = run_basic(&entry, &machine, Size::Small);
+        let res = run_basic(&entry, &machine, CLASS_S);
         assert_eq!(
             res.report.offproc_bytes(),
             0,
@@ -66,11 +68,11 @@ fn flop_counts_are_machine_independent() {
     // solvers may take identical paths too since compute is identical).
     for name in ["matrix-vector", "fft", "diff-3D", "step4", "lu", "gmo"] {
         let entry = dpf::suite::find(name).unwrap();
-        let f1 = run_basic(&entry, &Machine::cm5(1), Size::Small)
+        let f1 = run_basic(&entry, &Machine::cm5(1), CLASS_S)
             .report
             .perf
             .flops;
-        let f32 = run_basic(&entry, &Machine::cm5(32), Size::Small)
+        let f32 = run_basic(&entry, &Machine::cm5(32), CLASS_S)
             .report
             .perf
             .flops;
@@ -82,8 +84,8 @@ fn flop_counts_are_machine_independent() {
 fn results_are_deterministic_across_runs() {
     for name in ["conj-grad", "qcd-kernel", "pic-gather-scatter"] {
         let entry = dpf::suite::find(name).unwrap();
-        let a = run_basic(&entry, &Machine::cm5(4), Size::Small);
-        let b = run_basic(&entry, &Machine::cm5(4), Size::Small);
+        let a = run_basic(&entry, &Machine::cm5(4), CLASS_S);
+        let b = run_basic(&entry, &Machine::cm5(4), CLASS_S);
         assert_eq!(a.report.perf.flops, b.report.perf.flops, "{name}");
         assert_eq!(a.report.comm_calls(), b.report.comm_calls(), "{name}");
     }
@@ -97,7 +99,7 @@ fn phase_segments_are_reported_for_segmented_codes() {
         ("qr", vec!["qr:factor", "qr:solve"]),
     ] {
         let entry = dpf::suite::find(name).unwrap();
-        let res = run_basic(&entry, &Machine::cm5(4), Size::Small);
+        let res = run_basic(&entry, &Machine::cm5(4), CLASS_S);
         let got: Vec<String> = res.report.phases.iter().map(|p| p.name.clone()).collect();
         assert_eq!(got, phases, "{name} phases");
         for p in &res.report.phases {

@@ -3,7 +3,9 @@
 
 use dpf::core::Machine;
 use dpf::suite::tables;
-use dpf::suite::Size;
+use dpf::suite::{ProblemClass, Size};
+
+const CLASS_S: Size = Size::Class(ProblemClass::S);
 
 #[test]
 fn table1_reproduces_the_version_matrix() {
@@ -56,11 +58,11 @@ fn table3_and_7_classify_measured_patterns() {
 #[test]
 fn table4_and_6_report_measured_against_paper_formulas() {
     let m = Machine::cm5(8);
-    let t4 = tables::table4(&m, Size::Small);
+    let t4 = tables::table4(&m, CLASS_S);
     assert!(t4.contains("matrix-vector"));
     assert!(t4.contains("2nmi"), "paper formula column missing");
     assert!(t4.contains("direct"));
-    let t6 = tables::table6(&m, Size::Small);
+    let t6 = tables::table6(&m, CLASS_S);
     assert!(t6.contains("qcd-kernel"));
     assert!(t6.contains("606"));
     assert!(t6.contains("strided"));
@@ -85,7 +87,7 @@ fn table8_reproduces_technique_rows() {
 #[test]
 fn perf_report_covers_the_whole_suite_and_passes() {
     let m = Machine::cm5(8);
-    let report = tables::perf_report(&m, Size::Small);
+    let report = tables::perf_report(&m, CLASS_S);
     assert_eq!(report.lines().count(), 2 + 32);
     assert!(!report.contains("FAIL"), "{report}");
 }
@@ -102,7 +104,7 @@ fn matvec_layout_table_shows_layout_effect() {
 
 #[test]
 fn scalability_table_models_all_benchmarks() {
-    let t = tables::scalability_table(Size::Small);
+    let t = tables::scalability_table(CLASS_S);
     assert_eq!(t.lines().count(), 2 + 32);
     assert!(t.contains("P=512"));
     // The embarrassingly parallel codes must scale best-in-class.
@@ -120,7 +122,7 @@ fn scalability_table_models_all_benchmarks() {
 #[test]
 fn efficiency_table_reports_percentages() {
     let m = Machine::cm5(8);
-    let t = tables::efficiency_table(&m, Size::Small);
+    let t = tables::efficiency_table(&m, CLASS_S);
     assert_eq!(t.lines().count(), 2 + 8);
     assert!(t.contains("conj-grad"));
 }

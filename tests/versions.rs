@@ -3,14 +3,16 @@
 //! consistent.
 
 use dpf::core::Machine;
-use dpf::suite::{find, registry, run, Size, Version};
+use dpf::suite::{find, registry, run, ProblemClass, Size, Version};
+
+const CLASS_S: Size = Size::Class(ProblemClass::S);
 
 #[test]
 fn every_runnable_variant_verifies() {
     let machine = Machine::cm5(8);
     for entry in registry() {
         for variant in entry.variants {
-            let res = run(&entry, variant.version, &machine, Size::Small);
+            let res = run(&entry, variant.version, &machine, CLASS_S);
             assert!(
                 res.report.verify.is_pass(),
                 "{} ({}) failed: {}",
@@ -35,8 +37,8 @@ fn optimized_variants_charge_comparable_flops() {
         ("lu", Version::Cmssl),
     ] {
         let entry = find(name).unwrap();
-        let basic = run(&entry, Version::Basic, &machine, Size::Small);
-        let tuned = run(&entry, alt, &machine, Size::Small);
+        let basic = run(&entry, Version::Basic, &machine, CLASS_S);
+        let tuned = run(&entry, alt, &machine, CLASS_S);
         let (fb, ft) = (
             basic.report.perf.flops as f64,
             tuned.report.perf.flops as f64,
