@@ -1,26 +1,18 @@
-//! Hot-path microbenchmarks: the optimized primitives against inline
-//! seed-equivalent baselines.
+//! Hot-path microbenchmarks: the library's optimized primitives at
+//! 2^16, 2^20 and 2^22 elements.
 //!
-//! Each operation is measured two ways at three sizes:
-//!
-//! * `new`  — the current library path (chunked index decoding, pooled
-//!   output buffers, lane-parallel loops).
-//! * `seed` — a faithful inline copy of the pre-optimization
-//!   implementation (per-element [`unflatten`] heap allocation, serial
-//!   lane loops, fresh zeroed output buffers, per-element owner-id
-//!   comparisons).
-//!
-//! The seed variants are kept inline because this build environment
-//! cannot check out and build the seed commit side by side; the code is
-//! transcribed from it. `scripts/bench_snapshot.sh` runs this harness and
-//! assembles the `CRITERION_JSON` lines into `BENCH_1.json`, including
-//! per-op seed/new throughput ratios.
+//! Every benchmark id has the form `<op>/new/<elements>`; `new` names the
+//! current library path (chunked index decoding, pooled output buffers,
+//! lane-parallel loops). The pre-optimization baselines are history, not
+//! code: `BENCH_1.json` and `BENCH_2.json` carry their medians.
+//! `scripts/bench_snapshot.sh` runs this harness and assembles the
+//! `CRITERION_JSON` lines into a snapshot, and `scripts/bench_gate.py`
+//! compares the `new` medians of two snapshots.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dpf_array::{unflatten, DistArray, Expr, MAX_RANK, PAR};
-use dpf_comm::{cshift, fuse, gather, star_stencil, stencil_into, StencilBoundary, StencilPoint};
+use dpf_array::{DistArray, Expr, PAR};
+use dpf_comm::{cshift, fuse, gather, star_stencil, stencil_into, StencilBoundary};
 use dpf_core::{Ctx, Machine};
-use rayon::prelude::*;
 
 fn ctx() -> Ctx {
     Ctx::new(Machine::cm5(4))
@@ -38,16 +30,6 @@ fn side(len: usize) -> usize {
 
 // ---------------------------------------------------------------- map --
 
-/// Seed `map`: rayon above the threshold, but collecting into a freshly
-/// allocated vector every call.
-fn seed_map(a: &DistArray<f64>) -> Vec<f64> {
-    if a.len() >= dpf_array::PAR_THRESHOLD {
-        a.as_slice().par_iter().map(|&x| 1.5 * x + 0.5).collect()
-    } else {
-        a.as_slice().iter().map(|&x| 1.5 * x + 0.5).collect()
-    }
-}
-
 fn bench_map(c: &mut Criterion) {
     let ctx = ctx();
     let mut g = c.benchmark_group("map");
@@ -62,38 +44,11 @@ fn bench_map(c: &mut Criterion) {
                 black_box(probe)
             })
         });
-        g.bench_with_input(BenchmarkId::new("seed", n), &n, |b, _| {
-            b.iter(|| {
-                let r = seed_map(&a);
-                black_box(r[n / 2])
-            })
-        });
     }
     g.finish();
 }
 
 // ------------------------------------------------------------- cshift --
-
-/// Seed `cshift` data movement: serial lane loop into a zeroed output.
-fn seed_cshift(ctx: &Ctx, a: &DistArray<f64>, axis: usize, shift: isize) -> DistArray<f64> {
-    let shape = a.shape().to_vec();
-    let n = shape[axis];
-    let outer: usize = shape[..axis].iter().product();
-    let inner: usize = shape[axis + 1..].iter().product();
-    let mut out = DistArray::<f64>::zeros(ctx, &shape, a.layout().axes());
-    let src = a.as_slice();
-    let dst = out.as_mut_slice();
-    for o in 0..outer {
-        let base = o * n * inner;
-        for i in 0..n {
-            let j = (i as isize + shift).rem_euclid(n as isize) as usize;
-            let d0 = base + i * inner;
-            let s0 = base + j * inner;
-            dst[d0..d0 + inner].copy_from_slice(&src[s0..s0 + inner]);
-        }
-    }
-    out
-}
 
 fn bench_cshift(c: &mut Criterion) {
     let ctx = ctx();
@@ -110,35 +65,11 @@ fn bench_cshift(c: &mut Criterion) {
                 black_box(probe)
             })
         });
-        g.bench_with_input(BenchmarkId::new("seed", n), &n, |b, _| {
-            b.iter(|| {
-                let r = seed_cshift(&ctx, &a, 0, 1);
-                black_box(r.as_slice()[n / 2])
-            })
-        });
     }
     g.finish();
 }
 
 // ------------------------------------------------------------ permute --
-
-/// Seed `permute`: serial, with a heap-allocated `unflatten` vector per
-/// element.
-fn seed_permute(a: &DistArray<f64>, order: &[usize]) -> Vec<f64> {
-    let new_shape: Vec<usize> = order.iter().map(|&d| a.shape()[d]).collect();
-    let old_strides = a.layout().strides();
-    let strides_in_new_order: Vec<usize> = order.iter().map(|&d| old_strides[d]).collect();
-    let mut data = vec![0.0f64; a.len()];
-    for (flat_new, slot) in data.iter_mut().enumerate() {
-        let idx_new = unflatten(flat_new, &new_shape);
-        let mut flat_old = 0;
-        for d in 0..idx_new.len() {
-            flat_old += idx_new[d] * strides_in_new_order[d];
-        }
-        *slot = a.as_slice()[flat_old];
-    }
-    data
-}
 
 fn bench_permute(c: &mut Criterion) {
     let ctx = ctx();
@@ -155,33 +86,11 @@ fn bench_permute(c: &mut Criterion) {
                 black_box(probe)
             })
         });
-        g.bench_with_input(BenchmarkId::new("seed", n), &n, |b, _| {
-            b.iter(|| {
-                let r = seed_permute(&a, &[1, 0]);
-                black_box(r[n / 2])
-            })
-        });
     }
     g.finish();
 }
 
 // ------------------------------------------------------- indexed_fill --
-
-/// Seed `indexed_fill`: rayon above the threshold, but with a
-/// heap-allocated `unflatten` vector per element.
-fn seed_indexed_fill(data: &mut [f64], shape: &[usize]) {
-    if data.len() >= dpf_array::PAR_THRESHOLD {
-        data.par_iter_mut().enumerate().for_each(|(flat, x)| {
-            let idx = unflatten(flat, shape);
-            *x = (idx[0] + 2 * idx[1]) as f64;
-        });
-    } else {
-        data.iter_mut().enumerate().for_each(|(flat, x)| {
-            let idx = unflatten(flat, shape);
-            *x = (idx[0] + 2 * idx[1]) as f64;
-        });
-    }
-}
 
 fn bench_indexed_fill(c: &mut Criterion) {
     let ctx = ctx();
@@ -196,46 +105,11 @@ fn bench_indexed_fill(c: &mut Criterion) {
                 black_box(a.as_slice()[n / 2])
             })
         });
-        let shape = vec![s, s];
-        let mut raw = vec![0.0f64; n];
-        g.bench_with_input(BenchmarkId::new("seed", n), &n, |b, _| {
-            b.iter(|| {
-                seed_indexed_fill(&mut raw, &shape);
-                black_box(raw[n / 2])
-            })
-        });
     }
     g.finish();
 }
 
 // ------------------------------------------------------------- gather --
-
-/// Seed `gather`: serial per-element owner-id comparison for the
-/// off-processor count, a zeroed output, then a serial copy loop.
-fn seed_gather(ctx: &Ctx, src: &DistArray<f64>, idx: &DistArray<i32>) -> DistArray<f64> {
-    let n = src.shape()[0] as i32;
-    let mut out = DistArray::<f64>::zeros(ctx, idx.shape(), idx.layout().axes());
-    let sl = src.layout();
-    let dl = out.layout().clone();
-    let offproc = if sl.is_distributed() || dl.is_distributed() {
-        idx.as_slice()
-            .iter()
-            .enumerate()
-            .filter(|&(d, &s)| {
-                assert!(s >= 0 && s < n, "gather index {s} out of bounds {n}");
-                sl.owner_id_flat(s as usize) != dl.owner_id_flat(d)
-            })
-            .count() as u64
-    } else {
-        0
-    };
-    black_box(offproc);
-    let s = src.as_slice();
-    for (o, &i) in out.as_mut_slice().iter_mut().zip(idx.as_slice()) {
-        *o = s[i as usize];
-    }
-    out
-}
 
 fn bench_gather(c: &mut Criterion) {
     let ctx = ctx();
@@ -253,59 +127,11 @@ fn bench_gather(c: &mut Criterion) {
                 black_box(probe)
             })
         });
-        g.bench_with_input(BenchmarkId::new("seed", n), &n, |b, _| {
-            b.iter(|| {
-                let r = seed_gather(&ctx, &src, &idx);
-                black_box(r.as_slice()[n / 2])
-            })
-        });
     }
     g.finish();
 }
 
 // ------------------------------------------------------- star_stencil --
-
-/// Seed stencil host loop: per-element multi-index decode and per-point
-/// wrap handling for *every* element, transcribed from the pre-split
-/// `stencil_into` host branch (boundary and interior took the same path).
-fn seed_star_stencil(a: &DistArray<f64>, points: &[StencilPoint<f64>], out: &mut [f64]) {
-    let shape = a.shape();
-    let rank = shape.len();
-    let strides = a.layout().strides().to_vec();
-    let src = a.as_slice();
-    let apply = |flat: usize, slot: &mut f64| {
-        let mut idx = [0usize; MAX_RANK];
-        let mut rem = flat;
-        for d in (0..rank).rev() {
-            idx[d] = rem % shape[d];
-            rem /= shape[d];
-        }
-        let mut acc = 0.0;
-        for p in points {
-            let mut off = 0usize;
-            for d in 0..rank {
-                let j = idx[d] as isize + p.offset[d];
-                let j = if j < 0 || j >= shape[d] as isize {
-                    j.rem_euclid(shape[d] as isize) as usize
-                } else {
-                    j as usize
-                };
-                off += j * strides[d];
-            }
-            acc += p.weight * src[off];
-        }
-        *slot = acc;
-    };
-    if out.len() >= dpf_array::PAR_THRESHOLD {
-        out.par_iter_mut()
-            .enumerate()
-            .for_each(|(flat, slot)| apply(flat, slot));
-    } else {
-        out.iter_mut()
-            .enumerate()
-            .for_each(|(flat, slot)| apply(flat, slot));
-    }
-}
 
 fn bench_star_stencil(c: &mut Criterion) {
     let ctx = ctx();
@@ -322,33 +148,11 @@ fn bench_star_stencil(c: &mut Criterion) {
                 black_box(out.as_slice()[n / 2])
             })
         });
-        let mut raw = vec![0.0f64; n];
-        g.bench_with_input(BenchmarkId::new("seed", n), &n, |b, _| {
-            b.iter(|| {
-                seed_star_stencil(&a, &points, &mut raw);
-                black_box(raw[n / 2])
-            })
-        });
     }
     g.finish();
 }
 
 // --------------------------------------------------------- fused_diff1 --
-
-/// Seed 1-D diffusion step: the pre-fusion eager composition — two
-/// whole-array CSHIFT temporaries plus three full elementwise passes,
-/// each materializing a pooled intermediate.
-fn seed_diff1(ctx: &Ctx, u: &DistArray<f64>, k: f64, out: &mut DistArray<f64>) {
-    let up = cshift(ctx, u, 0, 1);
-    let um = cshift(ctx, u, 0, -1);
-    let sum = up.zip_map(ctx, 1, &um, |a, b| a + b);
-    let lap = sum.zip_map(ctx, 2, u, |s, x| s - 2.0 * x);
-    u.zip_map_into(ctx, 2, &lap, out, move |x, l| x + k * l);
-    up.recycle(ctx);
-    um.recycle(ctx);
-    sum.recycle(ctx);
-    lap.recycle(ctx);
-}
 
 fn bench_fused_diff1(c: &mut Criterion) {
     let ctx = ctx();
@@ -366,12 +170,6 @@ fn bench_fused_diff1(c: &mut Criterion) {
                     .zip(Expr::leaf(&u), 2, |s, x| s - 2.0 * x)
                     .zip(Expr::leaf(&u), 2, move |l, x| x + k * l);
                 fuse::eval_into(&ctx, &e, &mut out);
-                black_box(out.as_slice()[n / 2])
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("seed", n), &n, |b, _| {
-            b.iter(|| {
-                seed_diff1(&ctx, &u, k, &mut out);
                 black_box(out.as_slice()[n / 2])
             })
         });

@@ -17,7 +17,12 @@
 //! ([`crate::spmd::route_exec`]), which apply them in global source order
 //! — the same collision semantics as the serial loops. Indices are
 //! validated (and off-processor elements counted) on the host first, so
-//! worker threads cannot panic on bad input.
+//! worker threads cannot fail on bad input.
+//!
+//! Each primitive has one implementation, its `try_*` form, which checks
+//! every index exactly once inside its fused validate + count pass and
+//! returns a [`DpfError`] before anything is written or recorded. The
+//! panicking names are one-line wrappers that panic with the error text.
 
 use crate::spmd::{pull_exec, route_exec, Src};
 use dpf_array::{DistArray, Layout, PAR_THRESHOLD};
@@ -38,37 +43,65 @@ pub enum Combine {
     Min,
 }
 
-/// Validate a flat slice of 1-D destination indices and count how many
-/// land on a different virtual processor than their (flat-consecutive)
-/// source positions, in one parallel pass.
+/// The error for a 1-D index `i` outside `0..n`.
+fn out_of_bounds(label: &'static str, i: i32, n: i32) -> DpfError {
+    DpfError::IndexOutOfBounds {
+        label,
+        index: i as i64,
+        bound: n as i64,
+    }
+}
+
+/// Sum two per-chunk results. The left error wins, so reducing the chunks
+/// of a sweep in order reports the first bad index in flat order.
+fn sum_in_order(a: Result<u64, DpfError>, b: Result<u64, DpfError>) -> Result<u64, DpfError> {
+    Ok(a? + b?)
+}
+
+/// Validate a flat slice of 1-D indices into an array of layout `target`
+/// and count how many address a different virtual processor than their
+/// own flat position under `pos` owns, in one parallel pass.
 ///
-/// Bounds validation runs unconditionally — including for fully serial
-/// layouts, where the seed implementation skipped it together with the
-/// owner accounting. Owner ids are only computed when some layout is
-/// distributed: the source side advances per block segment
-/// ([`Layout::for_each_owner_segment`]) and the destination side is a
-/// single divide by the precomputed 1-D block extent.
-fn validate_count_to_1d(src_layout: &Layout, dst_layout: &Layout, idx: &[i32], label: &str) -> u64 {
-    let n = dst_layout.shape()[0] as i32;
-    let distributed = src_layout.is_distributed() || dst_layout.is_distributed();
-    let dblock = dst_layout.block(0);
-    let count_chunk = |start: usize, chunk: &[i32]| -> u64 {
+/// Bounds validation runs unconditionally, including for fully serial
+/// layouts. Owner ids are only computed when some layout is distributed:
+/// the position side advances per block segment
+/// ([`Layout::for_each_owner_segment`]) and the target side is a single
+/// divide by the precomputed 1-D block extent. The first bad index in
+/// flat order is the one reported.
+fn validate_count_1d(
+    pos: &Layout,
+    target: &Layout,
+    idx: &[i32],
+    label: &'static str,
+) -> Result<u64, DpfError> {
+    let n = target.shape()[0] as i32;
+    let distributed = pos.is_distributed() || target.is_distributed();
+    let tblock = target.block(0);
+    let count_chunk = |start: usize, chunk: &[i32]| -> Result<u64, DpfError> {
         let mut off = 0u64;
+        let mut bad = None;
         if distributed {
-            src_layout.for_each_owner_segment(start, chunk.len(), |seg0, seg_len, sown| {
+            pos.for_each_owner_segment(start, chunk.len(), |seg0, seg_len, pown| {
+                if bad.is_some() {
+                    return;
+                }
                 for &d in &chunk[seg0 - start..seg0 - start + seg_len] {
-                    assert!(d >= 0 && d < n, "{label} {d} out of bounds {n}");
-                    if (d as usize) / dblock != sown {
+                    if d < 0 || d >= n {
+                        bad = Some(d);
+                        return;
+                    }
+                    if (d as usize) / tblock != pown {
                         off += 1;
                     }
                 }
             });
         } else {
-            for &d in chunk {
-                assert!(d >= 0 && d < n, "{label} {d} out of bounds {n}");
-            }
+            bad = chunk.iter().copied().find(|&d| d < 0 || d >= n);
         }
-        off
+        match bad {
+            Some(d) => Err(out_of_bounds(label, d, n)),
+            None => Ok(off),
+        }
     };
     // The rayon dispatch only pays off with real worker parallelism; on a
     // single-core host the chunked reduce made gather@4M ~0.94x of the
@@ -77,138 +110,97 @@ fn validate_count_to_1d(src_layout: &Layout, dst_layout: &Layout, idx: &[i32], l
         idx.par_chunks(ROUTE_CHUNK)
             .enumerate()
             .map(|(c, chunk)| count_chunk(c * ROUTE_CHUNK, chunk))
-            .reduce(|| 0u64, |a, b| a + b)
+            // dpf-lint: allow(determinism-taint, reason = "integer counts; the in-order reduce keeps the first error")
+            .reduce(|| Ok(0), sum_in_order)
     } else {
         count_chunk(0, idx)
     }
 }
 
-/// Pre-validate a flat slice of 1-D indices, returning the typed error the
-/// panicking paths raise as text. The extra pass is cheap relative to the
-/// data movement and keeps the fused move loops untouched.
-fn check_bounds_1d(idx: &[i32], n: i32, label: &'static str) -> Result<(), DpfError> {
-    for &d in idx {
-        if d < 0 || d >= n {
-            return Err(DpfError::IndexOutOfBounds {
-                label,
-                index: d as i64,
-                bound: n as i64,
-            });
-        }
+/// Validate per-axis coordinate arrays (one per axis of `target`, all
+/// shaped like `pos`) and count the elements whose target owner differs
+/// from the owner of their own position. Returns the flat target offsets
+/// with the count, or the first coordinate, in element then axis order,
+/// that lies outside its extent.
+fn validate_count_nd(
+    pos: &Layout,
+    target: &Layout,
+    coords: &[&DistArray<i32>],
+    label: &'static str,
+) -> Result<(Vec<usize>, u64), DpfError> {
+    let shape = target.shape();
+    let strides = target.strides();
+    let flats = (0..pos.len())
+        .map(|k| {
+            let mut off = 0usize;
+            for (d, c) in coords.iter().enumerate() {
+                let i = c.as_slice()[k];
+                if i < 0 || (i as usize) >= shape[d] {
+                    return Err(DpfError::IndexOutOfExtent {
+                        label,
+                        index: i as i64,
+                        extent: shape[d],
+                    });
+                }
+                off += i as usize * strides[d];
+            }
+            Ok(off)
+        })
+        .collect::<Result<Vec<usize>, DpfError>>()?;
+    let mut off = 0u64;
+    if pos.is_distributed() || target.is_distributed() {
+        pos.for_each_owner_segment(0, flats.len(), |seg0, seg_len, pown| {
+            for &f in &flats[seg0..seg0 + seg_len] {
+                if target.owner_id_flat(f) != pown {
+                    off += 1;
+                }
+            }
+        });
     }
-    Ok(())
+    Ok((flats, off))
 }
 
-/// Pre-validate per-axis coordinate arrays against `shape`.
-fn check_bounds_nd(
-    coords: &[&DistArray<i32>],
-    shape: &[usize],
-    label: &'static str,
+/// The 1-D scatter preconditions: a rank-1 destination and an index array
+/// shaped like the source.
+fn check_scatter_shapes<T: Elem>(
+    dst: &DistArray<T>,
+    idx: &DistArray<i32>,
+    src: &DistArray<T>,
 ) -> Result<(), DpfError> {
-    for (d, c) in coords.iter().enumerate() {
-        for &i in c.as_slice() {
-            if i < 0 || (i as usize) >= shape[d] {
-                return Err(DpfError::IndexOutOfExtent {
-                    label,
-                    index: i as i64,
-                    extent: shape[d],
-                });
-            }
-        }
+    if dst.rank() != 1 {
+        return Err(DpfError::Shape {
+            what: "scatter destination must be 1-D (use try_scatter_nd_combine)",
+        });
+    }
+    if idx.shape() != src.shape() {
+        return Err(DpfError::Shape {
+            what: "index and source shapes must agree",
+        });
     }
     Ok(())
 }
 
 /// `out = src(idx)` — gather from a 1-D source through a flat index array
-/// of any rank; the result is shaped like `idx`.
+/// of any rank; the result is shaped like `idx`. Panics with the
+/// [`try_gather`] error text.
 pub fn gather<T: Elem>(ctx: &Ctx, src: &DistArray<T>, idx: &DistArray<i32>) -> DistArray<T> {
-    gather_as(ctx, src, idx, CommPattern::Gather)
+    try_gather(ctx, src, idx).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`gather`] that reports out-of-range indices as a recoverable
-/// [`DpfError`] instead of panicking. The error text is identical to the
-/// panic message.
+/// [`gather`] reporting a non-1-D source as [`DpfError::Shape`] and the
+/// first out-of-range index as [`DpfError::IndexOutOfBounds`]. On error
+/// nothing is recorded.
 pub fn try_gather<T: Elem>(
     ctx: &Ctx,
     src: &DistArray<T>,
     idx: &DistArray<i32>,
 ) -> Result<DistArray<T>, DpfError> {
-    assert_eq!(src.rank(), 1, "gather source must be 1-D (use gather_nd)");
-    check_bounds_1d(idx.as_slice(), src.shape()[0] as i32, "gather index")?;
-    Ok(gather(ctx, src, idx))
-}
-
-/// [`gather_nd`] with recoverable bounds errors.
-pub fn try_gather_nd<T: Elem>(
-    ctx: &Ctx,
-    src: &DistArray<T>,
-    coords: &[&DistArray<i32>],
-) -> Result<DistArray<T>, DpfError> {
-    assert_eq!(
-        coords.len(),
-        src.rank(),
-        "need one coordinate array per source axis"
-    );
-    check_bounds_nd(coords, src.shape(), "gather_nd index")?;
-    Ok(gather_nd(ctx, src, coords))
-}
-
-/// [`scatter`] with recoverable bounds errors.
-pub fn try_scatter<T: Elem>(
-    ctx: &Ctx,
-    dst: &mut DistArray<T>,
-    idx: &DistArray<i32>,
-    src: &DistArray<T>,
-) -> Result<(), DpfError> {
-    assert_eq!(
-        dst.rank(),
-        1,
-        "scatter destination must be 1-D (use scatter_nd_*)"
-    );
-    check_bounds_1d(idx.as_slice(), dst.shape()[0] as i32, "scatter index")?;
-    scatter(ctx, dst, idx, src);
-    Ok(())
-}
-
-/// [`scatter_combine`] with recoverable bounds errors.
-pub fn try_scatter_combine<T: Num + PartialOrd>(
-    ctx: &Ctx,
-    dst: &mut DistArray<T>,
-    idx: &DistArray<i32>,
-    src: &DistArray<T>,
-    combine: Combine,
-) -> Result<(), DpfError> {
-    assert_eq!(
-        dst.rank(),
-        1,
-        "scatter destination must be 1-D (use scatter_nd_*)"
-    );
-    check_bounds_1d(idx.as_slice(), dst.shape()[0] as i32, "scatter index")?;
-    scatter_combine(ctx, dst, idx, src, combine);
-    Ok(())
-}
-
-/// [`scatter_nd_combine`] with recoverable bounds errors.
-pub fn try_scatter_nd_combine<T: Num + PartialOrd>(
-    ctx: &Ctx,
-    dst: &mut DistArray<T>,
-    coords: &[&DistArray<i32>],
-    src: &DistArray<T>,
-    combine: Combine,
-) -> Result<(), DpfError> {
-    assert_eq!(
-        coords.len(),
-        dst.rank(),
-        "need one coordinate array per dest axis"
-    );
-    check_bounds_nd(coords, dst.shape(), "scatter_nd index")?;
-    scatter_nd_combine(ctx, dst, coords, src, combine);
-    Ok(())
+    gather_as(ctx, src, idx, CommPattern::Gather)
 }
 
 /// [`gather`] recorded as the language-level `Get` pattern.
 pub fn get<T: Elem>(ctx: &Ctx, src: &DistArray<T>, idx: &DistArray<i32>) -> DistArray<T> {
-    gather_as(ctx, src, idx, CommPattern::Get)
+    gather_as(ctx, src, idx, CommPattern::Get).unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn gather_as<T: Elem>(
@@ -216,8 +208,12 @@ fn gather_as<T: Elem>(
     src: &DistArray<T>,
     idx: &DistArray<i32>,
     pattern: CommPattern,
-) -> DistArray<T> {
-    assert_eq!(src.rank(), 1, "gather source must be 1-D (use gather_nd)");
+) -> Result<DistArray<T>, DpfError> {
+    if src.rank() != 1 {
+        return Err(DpfError::Shape {
+            what: "gather source must be 1-D (use try_gather_nd)",
+        });
+    }
     let n = src.shape()[0] as i32;
     // Fully overwritten below, so a pooled scratch output is safe.
     let mut out = DistArray::<T>::scratch(ctx, idx.shape(), idx.layout().axes());
@@ -225,25 +221,11 @@ fn gather_as<T: Elem>(
     let dst_layout = out.layout().clone();
     let distributed = src_layout.is_distributed() || dst_layout.is_distributed();
     let sblock = src_layout.block(0);
-    // Validation, ownership accounting and data movement fused into one
-    // (parallel) pass: the destination owner is constant per block segment
-    // of the flat output range, the source owner is one divide.
     let offproc = if ctx.spmd() && distributed {
-        // Validate + count on the host so the workers cannot panic, then
+        // Validate + count on the host so the workers cannot fail, then
         // pull every output element from its source owner.
         let idx_s = idx.as_slice();
-        let off = ctx.busy(|| {
-            let mut off = 0u64;
-            dst_layout.for_each_owner_segment(0, idx_s.len(), |seg0, seg_len, down| {
-                for &i in &idx_s[seg0..seg0 + seg_len] {
-                    assert!(i >= 0 && i < n, "gather index {i} out of bounds {n}");
-                    if (i as usize) / sblock != down {
-                        off += 1;
-                    }
-                }
-            });
-            off
-        });
+        let off = ctx.busy(|| validate_count_1d(&dst_layout, src_layout, idx_s, "gather index"))?;
         ctx.busy(|| {
             pull_exec(
                 ctx,
@@ -256,46 +238,64 @@ fn gather_as<T: Elem>(
         });
         off
     } else {
+        // Validation, ownership accounting and data movement fused into
+        // one (parallel) pass: the destination owner is constant per block
+        // segment of the flat output range, the source owner is one divide.
         ctx.busy(|| {
             let s = src.as_slice();
-            let move_chunk = |start: usize, out_chunk: &mut [T], idx_chunk: &[i32]| -> u64 {
-                let mut off = 0u64;
-                if distributed {
-                    dst_layout.for_each_owner_segment(
-                        start,
-                        out_chunk.len(),
-                        |seg0, seg_len, down| {
-                            let base = seg0 - start;
-                            for k in base..base + seg_len {
-                                let i = idx_chunk[k];
-                                assert!(i >= 0 && i < n, "gather index {i} out of bounds {n}");
-                                let su = i as usize;
-                                if su / sblock != down {
-                                    off += 1;
+            let move_chunk =
+                |start: usize, out_chunk: &mut [T], idx_chunk: &[i32]| -> Result<u64, DpfError> {
+                    let mut off = 0u64;
+                    let mut bad = None;
+                    if distributed {
+                        dst_layout.for_each_owner_segment(
+                            start,
+                            out_chunk.len(),
+                            |seg0, seg_len, down| {
+                                if bad.is_some() {
+                                    return;
                                 }
-                                out_chunk[k] = s[su];
+                                let base = seg0 - start;
+                                for k in base..base + seg_len {
+                                    let i = idx_chunk[k];
+                                    if i < 0 || i >= n {
+                                        bad = Some(i);
+                                        return;
+                                    }
+                                    let su = i as usize;
+                                    if su / sblock != down {
+                                        off += 1;
+                                    }
+                                    out_chunk[k] = s[su];
+                                }
+                            },
+                        );
+                    } else {
+                        for (o, &i) in out_chunk.iter_mut().zip(idx_chunk) {
+                            if i < 0 || i >= n {
+                                bad = Some(i);
+                                break;
                             }
-                        },
-                    );
-                } else {
-                    for (o, &i) in out_chunk.iter_mut().zip(idx_chunk) {
-                        assert!(i >= 0 && i < n, "gather index {i} out of bounds {n}");
-                        *o = s[i as usize];
+                            *o = s[i as usize];
+                        }
                     }
-                }
-                off
-            };
+                    match bad {
+                        Some(i) => Err(out_of_bounds("gather index", i, n)),
+                        None => Ok(off),
+                    }
+                };
             if out.len() >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
                 out.as_mut_slice()
                     .par_chunks_mut(ROUTE_CHUNK)
                     .zip(idx.as_slice().par_chunks(ROUTE_CHUNK))
                     .enumerate()
                     .map(|(c, (oc, ic))| move_chunk(c * ROUTE_CHUNK, oc, ic))
-                    .reduce(|| 0u64, |a, b| a + b)
+                    // dpf-lint: allow(determinism-taint, reason = "integer counts; the in-order reduce keeps the first error")
+                    .reduce(|| Ok(0), sum_in_order)
             } else {
                 move_chunk(0, out.as_mut_slice(), idx.as_slice())
             }
-        })
+        })?
     };
     ctx.record_comm(
         pattern,
@@ -305,67 +305,36 @@ fn gather_as<T: Elem>(
         offproc * T::DTYPE.size() as u64,
     );
     ctx.faults.inject_slice("gather", out.as_mut_slice());
-    out
+    Ok(out)
 }
 
 /// Multi-dimensional gather: `out[k] = src(idx0[k], idx1[k], …)` with one
-/// coordinate array per source axis, all shaped like the result.
-pub fn gather_nd<T: Elem>(
+/// coordinate array per source axis, all shaped like the result. A
+/// coordinate-count or shape mismatch is [`DpfError::Shape`]; the first
+/// coordinate past its extent is [`DpfError::IndexOutOfExtent`].
+pub fn try_gather_nd<T: Elem>(
     ctx: &Ctx,
     src: &DistArray<T>,
     coords: &[&DistArray<i32>],
-) -> DistArray<T> {
-    assert_eq!(
-        coords.len(),
-        src.rank(),
-        "need one coordinate array per source axis"
-    );
-    let out_shape = coords[0].shape().to_vec();
-    for c in coords {
-        assert_eq!(
-            c.shape(),
-            &out_shape[..],
-            "coordinate arrays must agree in shape"
-        );
-    }
-    // Fully overwritten below, so a pooled scratch output is safe.
-    let mut out = DistArray::<T>::scratch(ctx, &out_shape, coords[0].layout().axes());
-    let strides = src.layout().strides();
-    let src_shape = src.shape();
-    let coord_slices: Vec<&[i32]> = coords.iter().map(|c| c.as_slice()).collect();
-    let flat_of = |k: usize| -> usize {
-        let mut off = 0usize;
-        for (d, c) in coord_slices.iter().enumerate() {
-            let i = c[k];
-            assert!(
-                i >= 0 && (i as usize) < src_shape[d],
-                "gather_nd index {i} out of extent {}",
-                src_shape[d]
-            );
-            off += i as usize * strides[d];
-        }
-        off
-    };
-    let src_layout = src.layout();
-    let dst_layout = out.layout().clone();
-    let distributed = src_layout.is_distributed() || dst_layout.is_distributed();
-    // Fused validate + count + move, parallel over output chunks; the
-    // destination owner advances per block segment, the source owner is
-    // one flat decode per element (the index arrays are arbitrary).
-    let offproc = if ctx.spmd() && distributed {
-        // The host count pass also validates every coordinate, so the
-        // workers' `flat_of` calls cannot panic.
-        let off = ctx.busy(|| {
-            let mut off = 0u64;
-            dst_layout.for_each_owner_segment(0, out.len(), |seg0, seg_len, down| {
-                for k in seg0..seg0 + seg_len {
-                    if src_layout.owner_id_flat(flat_of(k)) != down {
-                        off += 1;
-                    }
-                }
-            });
-            off
+) -> Result<DistArray<T>, DpfError> {
+    if coords.len() != src.rank() {
+        return Err(DpfError::Shape {
+            what: "need one coordinate array per source axis",
         });
+    }
+    let out_layout = coords[0].layout();
+    if coords.iter().any(|c| c.shape() != out_layout.shape()) {
+        return Err(DpfError::Shape {
+            what: "coordinate arrays must agree in shape",
+        });
+    }
+    let src_layout = src.layout();
+    let (flats, offproc) =
+        ctx.busy(|| validate_count_nd(out_layout, src_layout, coords, "gather_nd index"))?;
+    // Fully overwritten below, so a pooled scratch output is safe.
+    let mut out = DistArray::<T>::scratch(ctx, out_layout.shape(), out_layout.axes());
+    if ctx.spmd() && (src_layout.is_distributed() || out_layout.is_distributed()) {
+        let dst_layout = out.layout().clone();
         ctx.busy(|| {
             pull_exec(
                 ctx,
@@ -373,47 +342,17 @@ pub fn gather_nd<T: Elem>(
                 src.as_slice(),
                 &dst_layout,
                 out.as_mut_slice(),
-                &|k| Src::Flat(flat_of(k)),
+                &|k| Src::Flat(flats[k]),
             );
         });
-        off
     } else {
         ctx.busy(|| {
             let s = src.as_slice();
-            let move_chunk = |start: usize, out_chunk: &mut [T]| -> u64 {
-                let mut off = 0u64;
-                if distributed {
-                    dst_layout.for_each_owner_segment(
-                        start,
-                        out_chunk.len(),
-                        |seg0, seg_len, down| {
-                            for k in seg0..seg0 + seg_len {
-                                let flat = flat_of(k);
-                                if src_layout.owner_id_flat(flat) != down {
-                                    off += 1;
-                                }
-                                out_chunk[k - start] = s[flat];
-                            }
-                        },
-                    );
-                } else {
-                    for (k, o) in out_chunk.iter_mut().enumerate() {
-                        *o = s[flat_of(start + k)];
-                    }
-                }
-                off
-            };
-            if out.len() >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
-                out.as_mut_slice()
-                    .par_chunks_mut(ROUTE_CHUNK)
-                    .enumerate()
-                    .map(|(c, oc)| move_chunk(c * ROUTE_CHUNK, oc))
-                    .reduce(|| 0u64, |a, b| a + b)
-            } else {
-                move_chunk(0, out.as_mut_slice())
+            for (o, &f) in out.as_mut_slice().iter_mut().zip(&flats) {
+                *o = s[f];
             }
-        })
-    };
+        });
+    }
     ctx.record_comm(
         CommPattern::Gather,
         src.rank(),
@@ -422,22 +361,35 @@ pub fn gather_nd<T: Elem>(
         offproc * T::DTYPE.size() as u64,
     );
     ctx.faults.inject_slice("gather", out.as_mut_slice());
-    out
+    Ok(out)
 }
 
 /// Plain scatter: `dst(idx[k]) = src[k]` with last-writer-wins collisions.
+/// Panics with the [`try_scatter`] error text.
 pub fn scatter<T: Elem>(
     ctx: &Ctx,
     dst: &mut DistArray<T>,
     idx: &DistArray<i32>,
     src: &DistArray<T>,
 ) {
-    scatter_as(ctx, dst, idx, src, CommPattern::Scatter);
+    try_scatter(ctx, dst, idx, src).unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// [`scatter`] reporting a shape mismatch as [`DpfError::Shape`] and the
+/// first out-of-range index as [`DpfError::IndexOutOfBounds`]. On error
+/// `dst` is untouched and nothing is recorded.
+pub fn try_scatter<T: Elem>(
+    ctx: &Ctx,
+    dst: &mut DistArray<T>,
+    idx: &DistArray<i32>,
+    src: &DistArray<T>,
+) -> Result<(), DpfError> {
+    scatter_as(ctx, dst, idx, src, CommPattern::Scatter)
 }
 
 /// [`scatter`] recorded as the language-level `Send` pattern.
 pub fn send<T: Elem>(ctx: &Ctx, dst: &mut DistArray<T>, idx: &DistArray<i32>, src: &DistArray<T>) {
-    scatter_as(ctx, dst, idx, src, CommPattern::Send);
+    scatter_as(ctx, dst, idx, src, CommPattern::Send).unwrap_or_else(|e| panic!("{e}"));
 }
 
 fn scatter_as<T: Elem>(
@@ -446,22 +398,13 @@ fn scatter_as<T: Elem>(
     idx: &DistArray<i32>,
     src: &DistArray<T>,
     pattern: CommPattern,
-) {
-    assert_eq!(
-        dst.rank(),
-        1,
-        "scatter destination must be 1-D (use scatter_nd_*)"
-    );
-    assert_eq!(
-        idx.shape(),
-        src.shape(),
-        "index and source shapes must agree"
-    );
+) -> Result<(), DpfError> {
+    check_scatter_shapes(dst, idx, src)?;
     // Parallel validate + ownership count, then a serial apply: the apply
     // must stay in flat source order to keep last-writer-wins collisions
     // deterministic.
     let offproc = ctx
-        .busy(|| validate_count_to_1d(src.layout(), dst.layout(), idx.as_slice(), "scatter index"));
+        .busy(|| validate_count_1d(src.layout(), dst.layout(), idx.as_slice(), "scatter index"))?;
     ctx.record_comm(
         pattern,
         src.rank(),
@@ -492,10 +435,10 @@ fn scatter_as<T: Elem>(
         });
     }
     ctx.faults.inject_slice("scatter", dst.as_mut_slice());
+    Ok(())
 }
 
-/// The combining closure matching a [`Combine`] mode, shared by the SPMD
-/// scatter variants.
+/// The combining closure matching a [`Combine`] mode.
 fn combine_apply<T: Num + PartialOrd>(combine: Combine) -> &'static (dyn Fn(&mut T, T) + Sync) {
     match combine {
         Combine::Add => &|slot, v| *slot += v,
@@ -513,6 +456,7 @@ fn combine_apply<T: Num + PartialOrd>(combine: Combine) -> &'static (dyn Fn(&mut
 }
 
 /// Combining scatter into a 1-D destination: `dst(idx[k]) ⊕= src[k]`.
+/// Panics with the [`try_scatter_combine`] error text.
 pub fn scatter_combine<T: Num + PartialOrd>(
     ctx: &Ctx,
     dst: &mut DistArray<T>,
@@ -520,18 +464,22 @@ pub fn scatter_combine<T: Num + PartialOrd>(
     src: &DistArray<T>,
     combine: Combine,
 ) {
-    assert_eq!(
-        dst.rank(),
-        1,
-        "scatter destination must be 1-D (use scatter_nd_*)"
-    );
-    assert_eq!(
-        idx.shape(),
-        src.shape(),
-        "index and source shapes must agree"
-    );
+    try_scatter_combine(ctx, dst, idx, src, combine).unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// [`scatter_combine`] reporting a shape mismatch as [`DpfError::Shape`]
+/// and the first out-of-range index as [`DpfError::IndexOutOfBounds`]. On
+/// error `dst` is untouched and nothing is recorded.
+pub fn try_scatter_combine<T: Num + PartialOrd>(
+    ctx: &Ctx,
+    dst: &mut DistArray<T>,
+    idx: &DistArray<i32>,
+    src: &DistArray<T>,
+    combine: Combine,
+) -> Result<(), DpfError> {
+    check_scatter_shapes(dst, idx, src)?;
     let offproc = ctx
-        .busy(|| validate_count_to_1d(src.layout(), dst.layout(), idx.as_slice(), "scatter index"));
+        .busy(|| validate_count_1d(src.layout(), dst.layout(), idx.as_slice(), "scatter index"))?;
     ctx.record_comm(
         CommPattern::ScatterCombine,
         src.rank(),
@@ -578,6 +526,7 @@ pub fn scatter_combine<T: Num + PartialOrd>(
         });
     }
     ctx.faults.inject_slice("scatter", dst.as_mut_slice());
+    Ok(())
 }
 
 /// Combining deposit recorded as the paper's "Gather w/ combine" pattern
@@ -595,8 +544,9 @@ pub fn gather_combine<T: Num + PartialOrd>(
         src.shape(),
         "index and source shapes must agree"
     );
-    let offproc =
-        ctx.busy(|| validate_count_to_1d(src.layout(), dst.layout(), idx.as_slice(), "index"));
+    let offproc = ctx
+        .busy(|| validate_count_1d(src.layout(), dst.layout(), idx.as_slice(), "index"))
+        .unwrap_or_else(|e| panic!("{e}"));
     ctx.record_comm(
         CommPattern::GatherCombine,
         src.rank(),
@@ -631,79 +581,28 @@ pub fn gather_combine<T: Num + PartialOrd>(
 }
 
 /// Multi-dimensional combining scatter: `dst(c0[k], c1[k], …) ⊕= src[k]`.
-pub fn scatter_nd_combine<T: Num + PartialOrd>(
+/// A coordinate-count or shape mismatch is [`DpfError::Shape`]; the first
+/// coordinate past its extent is [`DpfError::IndexOutOfExtent`]. On error
+/// `dst` is untouched and nothing is recorded.
+pub fn try_scatter_nd_combine<T: Num + PartialOrd>(
     ctx: &Ctx,
     dst: &mut DistArray<T>,
     coords: &[&DistArray<i32>],
     src: &DistArray<T>,
     combine: Combine,
-) {
-    assert_eq!(
-        coords.len(),
-        dst.rank(),
-        "need one coordinate array per dest axis"
-    );
-    for c in coords {
-        assert_eq!(
-            c.shape(),
-            src.shape(),
-            "coordinate arrays must match source shape"
-        );
+) -> Result<(), DpfError> {
+    if coords.len() != dst.rank() {
+        return Err(DpfError::Shape {
+            what: "need one coordinate array per dest axis",
+        });
     }
-    let strides = dst.layout().strides();
-    let shape = dst.shape().to_vec();
-    let coord_slices: Vec<&[i32]> = coords.iter().map(|c| c.as_slice()).collect();
-    let flat_of = |k: usize| -> usize {
-        let mut off = 0usize;
-        for (d, c) in coord_slices.iter().enumerate() {
-            let i = c[k];
-            assert!(
-                i >= 0 && (i as usize) < shape[d],
-                "scatter_nd index {i} out of extent {}",
-                shape[d]
-            );
-            off += i as usize * strides[d];
-        }
-        off
-    };
-    // Parallel validate + count (source owner constant per block segment,
-    // destination owner decoded per element), then a serial apply to keep
-    // collision order deterministic.
-    let src_layout = src.layout();
-    let dst_layout = dst.layout();
-    let distributed = src_layout.is_distributed() || dst_layout.is_distributed();
-    let offproc = ctx.busy(|| {
-        let count_chunk = |start: usize, len: usize| -> u64 {
-            let mut off = 0u64;
-            if distributed {
-                src_layout.for_each_owner_segment(start, len, |seg0, seg_len, sown| {
-                    for k in seg0..seg0 + seg_len {
-                        if dst_layout.owner_id_flat(flat_of(k)) != sown {
-                            off += 1;
-                        }
-                    }
-                });
-            } else {
-                for k in start..start + len {
-                    let _ = flat_of(k); // bounds validation always runs
-                }
-            }
-            off
-        };
-        let n = src.len();
-        if n >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
-            let chunks = n.div_ceil(ROUTE_CHUNK);
-            (0..chunks)
-                .into_par_iter()
-                .map(|c| {
-                    let start = c * ROUTE_CHUNK;
-                    count_chunk(start, ROUTE_CHUNK.min(n - start))
-                })
-                .reduce(|| 0u64, |a, b| a + b)
-        } else {
-            count_chunk(0, n)
-        }
-    });
+    if coords.iter().any(|c| c.shape() != src.shape()) {
+        return Err(DpfError::Shape {
+            what: "coordinate arrays must match source shape",
+        });
+    }
+    let (flats, offproc) =
+        ctx.busy(|| validate_count_nd(src.layout(), dst.layout(), coords, "scatter_nd index"))?;
     ctx.record_comm(
         CommPattern::ScatterCombine,
         src.rank(),
@@ -714,42 +613,31 @@ pub fn scatter_nd_combine<T: Num + PartialOrd>(
     if combine == Combine::Add {
         ctx.add_flops(src.len() as u64 * T::DTYPE.add_flops());
     }
-    if ctx.spmd() && distributed {
-        let dl = dst.layout().clone();
+    // Applied in flat source order to keep collisions deterministic.
+    let apply = combine_apply::<T>(combine);
+    if ctx.spmd() && (src.layout().is_distributed() || dst.layout().is_distributed()) {
+        let dst_layout = dst.layout().clone();
         ctx.busy(|| {
             route_exec(
                 ctx,
-                src_layout,
+                src.layout(),
                 src.as_slice(),
-                &dl,
+                &dst_layout,
                 dst.as_mut_slice(),
-                &flat_of,
-                combine_apply::<T>(combine),
+                &|k| flats[k],
+                apply,
             );
         });
     } else {
         ctx.busy(|| {
-            for k in 0..src.len() {
-                let off = flat_of(k);
-                let v = src.as_slice()[k];
-                let slot = &mut dst.as_mut_slice()[off];
-                match combine {
-                    Combine::Add => *slot += v,
-                    Combine::Max => {
-                        if v > *slot {
-                            *slot = v;
-                        }
-                    }
-                    Combine::Min => {
-                        if v < *slot {
-                            *slot = v;
-                        }
-                    }
-                }
+            let d = dst.as_mut_slice();
+            for (&f, &v) in flats.iter().zip(src.as_slice()) {
+                apply(&mut d[f], v);
             }
         });
     }
     ctx.faults.inject_slice("scatter", dst.as_mut_slice());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -792,7 +680,7 @@ mod tests {
             DistArray::<i32>::from_fn(&ctx, &[3, 3], &[PAR, PAR], |i| (i[0] * 3 + i[1]) as i32);
         let r = DistArray::<i32>::from_vec(&ctx, &[2], &[PAR], vec![0, 2]);
         let c = DistArray::<i32>::from_vec(&ctx, &[2], &[PAR], vec![2, 1]);
-        let out = gather_nd(&ctx, &src, &[&r, &c]);
+        let out = try_gather_nd(&ctx, &src, &[&r, &c]).unwrap();
         assert_eq!(out.to_vec(), vec![2, 7]);
     }
 
@@ -834,7 +722,7 @@ mod tests {
         let r = DistArray::<i32>::from_vec(&ctx, &[3], &[PAR], vec![0, 1, 0]);
         let c = DistArray::<i32>::from_vec(&ctx, &[3], &[PAR], vec![0, 1, 0]);
         let v = DistArray::<f64>::from_vec(&ctx, &[3], &[PAR], vec![1., 2., 3.]);
-        scatter_nd_combine(&ctx, &mut grid, &[&r, &c], &v, Combine::Add);
+        try_scatter_nd_combine(&ctx, &mut grid, &[&r, &c], &v, Combine::Add).unwrap();
         assert_eq!(grid.get(&[0, 0]), 4.0);
         assert_eq!(grid.get(&[1, 1]), 2.0);
     }
@@ -901,24 +789,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "gather_nd index 3 out of extent 3")]
     fn gather_nd_bounds_checked_with_serial_layouts() {
         let ctx = ctx(1);
         let src = DistArray::<i32>::zeros(&ctx, &[3, 3], &[SER, SER]);
         let r = DistArray::<i32>::from_vec(&ctx, &[1], &[SER], vec![3]);
         let c = DistArray::<i32>::from_vec(&ctx, &[1], &[SER], vec![0]);
-        let _ = gather_nd(&ctx, &src, &[&r, &c]);
+        let err = try_gather_nd(&ctx, &src, &[&r, &c]).unwrap_err();
+        assert_eq!(err.to_string(), "gather_nd index 3 out of extent 3");
     }
 
     #[test]
-    #[should_panic(expected = "scatter_nd index 7 out of extent 2")]
     fn scatter_nd_bounds_checked_with_serial_layouts() {
         let ctx = ctx(1);
         let mut dst = DistArray::<f64>::zeros(&ctx, &[2, 2], &[SER, SER]);
         let r = DistArray::<i32>::from_vec(&ctx, &[1], &[SER], vec![7]);
         let c = DistArray::<i32>::from_vec(&ctx, &[1], &[SER], vec![0]);
         let v = DistArray::<f64>::from_vec(&ctx, &[1], &[SER], vec![1.0]);
-        scatter_nd_combine(&ctx, &mut dst, &[&r, &c], &v, Combine::Add);
+        let err = try_scatter_nd_combine(&ctx, &mut dst, &[&r, &c], &v, Combine::Add).unwrap_err();
+        assert_eq!(err.to_string(), "scatter_nd index 7 out of extent 2");
     }
 
     #[test]

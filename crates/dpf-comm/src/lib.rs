@@ -33,8 +33,8 @@ pub mod stencil;
 pub mod transpose;
 
 pub use gather::{
-    gather, gather_combine, gather_nd, get, scatter, scatter_combine, scatter_nd_combine, send,
-    try_gather, try_gather_nd, try_scatter, try_scatter_combine, try_scatter_nd_combine, Combine,
+    gather, gather_combine, get, scatter, scatter_combine, send, try_gather, try_gather_nd,
+    try_scatter, try_scatter_combine, try_scatter_nd_combine, Combine,
 };
 pub use reduce::{dot, max_all, maxloc_abs, min_all, product_all, sum_all, sum_axis, sum_masked};
 pub use scan::{scan_add, scan_add_exclusive, segmented_copy_scan, segmented_scan_add};

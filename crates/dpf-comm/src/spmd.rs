@@ -14,7 +14,7 @@
 //! * [`pull_exec`] — owner-computes-output: each worker maps its output
 //!   flats to source flats, requests the off-block ones from their owners
 //!   (`Req` round) and receives the values (`Vals` round). Used by the
-//!   shifts, spread/broadcast, gather/get/gather_nd and transpose.
+//!   shifts, spread/broadcast, gather/get/`try_gather_nd` and transpose.
 //! * [`route_exec`] — owner-computes-source: each worker routes
 //!   `(src_flat, dst_flat, value)` triples to the destination owners; the
 //!   receiver sorts by source flat before applying, which reproduces the

@@ -19,18 +19,13 @@ use rayon::prelude::*;
 /// Elements per task in the parallel owner-comparison loop.
 const COUNT_CHUNK: usize = 4096;
 
-/// Transpose a 2-D array (AAPC).
+/// Transpose a 2-D array (AAPC). Panics with the [`try_transpose`] error
+/// text.
 pub fn transpose<T: Elem>(ctx: &Ctx, a: &DistArray<T>) -> DistArray<T> {
-    assert_eq!(
-        a.rank(),
-        2,
-        "transpose expects a 2-D array (use transpose_axes)"
-    );
-    transpose_axes(ctx, a, 0, 1)
+    try_transpose(ctx, a).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`transpose`] reporting a wrong-rank argument as a recoverable
-/// [`DpfError`] instead of panicking.
+/// [`transpose`] reporting a wrong-rank argument as [`DpfError::Shape`].
 pub fn try_transpose<T: Elem>(ctx: &Ctx, a: &DistArray<T>) -> Result<DistArray<T>, DpfError> {
     if a.rank() != 2 {
         return Err(DpfError::Shape {

@@ -17,11 +17,12 @@
 //! by a shared mutable generator — so determinism survives the internal
 //! parallelism of the primitives.
 //!
-//! [`DpfError`] is the typed error for the validation paths that used to
-//! be panic-only (gather/scatter index checks, LU/Gauss–Jordan
-//! singularity, FFT power-of-two). Its `Display` output is byte-identical
-//! to the corresponding panic message, so `try_*` callers and
-//! `should_panic` tests see the same text.
+//! [`DpfError`] is the typed error of every primitive's validation path
+//! (gather/scatter index and shape checks, LU/Gauss–Jordan singularity,
+//! FFT power-of-two, transpose rank). Each primitive has one
+//! implementation, its `try_*` form; a surviving panicking name panics
+//! with the error's `Display` text, so `try_*` callers and `should_panic`
+//! tests see the same text.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -31,8 +32,8 @@ use crate::dtype::Elem;
 
 /// The typed error for recoverable validation and fault paths.
 ///
-/// `Display` renders exactly the message the corresponding panicking API
-/// uses, so converting a panic path into a `try_*` path never changes the
+/// `Display` renders exactly the message the corresponding panicking
+/// wrapper panics with, so choosing the `try_*` form never changes the
 /// observable text.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DpfError {
@@ -45,7 +46,8 @@ pub enum DpfError {
         /// The exclusive bound it violated.
         bound: i64,
     },
-    /// A coordinate addressed past an axis extent (`gather_nd`/`scatter_nd`).
+    /// A coordinate addressed past an axis extent (`try_gather_nd`,
+    /// `try_scatter_nd_combine`).
     IndexOutOfExtent {
         /// Site label, e.g. `"gather_nd index"`.
         label: &'static str,
@@ -517,9 +519,10 @@ pub struct FaultRecord {
     pub decision: u64,
 }
 
-/// SplitMix64 — the hash driving the decision stream.
+/// SplitMix64 — the hash driving the decision stream, and the one
+/// generator step every seeded schedule in the suite derives from.
 #[inline]
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -546,8 +546,9 @@ impl<'a> Transport<'a> {
     }
 }
 
-/// Bit-serial CRC32 (IEEE polynomial, reflected).
-fn crc32(bytes: &[u8]) -> u32 {
+/// Bit-serial CRC32 (IEEE 802.3 polynomial, reflected) — the checksum of
+/// link frames, shard replicas and campaign journal lines.
+pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
         crc ^= b as u32;

@@ -55,8 +55,16 @@ pub fn try_fft_row(buf: &mut [C64], dir: Direction) -> Result<(), DpfError> {
     if !n.is_power_of_two() {
         return Err(DpfError::NotPowerOfTwo { what: "length", n });
     }
+    transform_row(buf, dir);
+    Ok(())
+}
+
+/// The radix-2 transform of a row whose length is already known to be a
+/// power of two.
+fn transform_row(buf: &mut [C64], dir: Direction) {
+    let n = buf.len();
     if n <= 1 {
-        return Ok(());
+        return;
     }
     // Bit-reversal permutation.
     let bits = n.trailing_zeros();
@@ -86,7 +94,6 @@ pub fn try_fft_row(buf: &mut [C64], dir: Direction) -> Result<(), DpfError> {
         }
         len <<= 1;
     }
-    Ok(())
 }
 
 /// O(n²) reference DFT for verification.
@@ -106,10 +113,9 @@ pub fn dft_reference(input: &[C64], dir: Direction) -> Vec<C64> {
 }
 
 /// 1-D FFT of a 1-D array, with Table 4 instrumentation. The inverse is
-/// normalized by `1/n`.
+/// normalized by `1/n`. Panics with the [`try_fft`] error text.
 pub fn fft(ctx: &Ctx, a: &DistArray<C64>, dir: Direction) -> DistArray<C64> {
-    assert_eq!(a.rank(), 1, "fft expects a 1-D array (use fft_axis)");
-    fft_axis(ctx, a, 0, dir)
+    try_fft(ctx, a, dir).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`fft`] with recoverable [`DpfError`]s instead of panics: `Shape` for
@@ -124,12 +130,14 @@ pub fn try_fft(ctx: &Ctx, a: &DistArray<C64>, dir: Direction) -> Result<DistArra
 }
 
 /// FFT along one axis of an array of any rank (each lane transformed
-/// independently — `ks-spectral`'s "1-D FFTs on 2-D arrays").
+/// independently — `ks-spectral`'s "1-D FFTs on 2-D arrays"). Panics with
+/// the [`try_fft_axis`] error text.
 pub fn fft_axis(ctx: &Ctx, a: &DistArray<C64>, axis: usize, dir: Direction) -> DistArray<C64> {
-    fft_axis_as(ctx, a, axis, dir, CommPattern::Aapc)
+    try_fft_axis(ctx, a, axis, dir).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`fft_axis`] with a recoverable [`DpfError::NotPowerOfTwo`].
+/// [`fft_axis`] with a recoverable [`DpfError`]: `Shape` for an axis past
+/// the rank, `NotPowerOfTwo` for a bad extent.
 pub fn try_fft_axis(
     ctx: &Ctx,
     a: &DistArray<C64>,
@@ -151,8 +159,9 @@ pub fn fft_axis_as(
     try_fft_axis_as(ctx, a, axis, dir, exchange_pattern).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`fft_axis_as`] with a recoverable [`DpfError::NotPowerOfTwo`] (same
-/// message text as the panicking path).
+/// [`fft_axis_as`] with a recoverable [`DpfError`]: `Shape` for an axis
+/// past the rank, `NotPowerOfTwo` for a bad extent. On error nothing is
+/// recorded.
 pub fn try_fft_axis_as(
     ctx: &Ctx,
     a: &DistArray<C64>,
@@ -160,6 +169,11 @@ pub fn try_fft_axis_as(
     dir: Direction,
     exchange_pattern: CommPattern,
 ) -> Result<DistArray<C64>, DpfError> {
+    if axis >= a.rank() {
+        return Err(DpfError::Shape {
+            what: "fft axis out of range",
+        });
+    }
     let n = a.shape()[axis];
     if !n.is_power_of_two() {
         return Err(DpfError::NotPowerOfTwo { what: "extent", n });
@@ -187,7 +201,7 @@ pub fn try_fft_axis_as(
     ctx.busy(|| {
         let rows = out.as_mut_slice().par_chunks_mut(n);
         rows.for_each(|row| {
-            fft_row(row, dir);
+            transform_row(row, dir);
             if dir == Direction::Inverse {
                 let scale = 1.0 / n as f64;
                 for x in row.iter_mut() {

@@ -14,17 +14,25 @@ pub fn gauss_jordan_solve(ctx: &Ctx, a: &DistArray<f64>, b: &DistArray<f64>) -> 
     try_gauss_jordan_solve(ctx, a, b).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`gauss_jordan_solve`] with a recoverable [`DpfError::SingularMatrix`]
-/// (same message text as the panicking path).
+/// [`gauss_jordan_solve`] with recoverable [`DpfError`]s: `Shape` for a
+/// non-square matrix or a mismatched rhs, `SingularMatrix` for a vanished
+/// pivot (found mid-elimination, after the charges of the steps before it).
 pub fn try_gauss_jordan_solve(
     ctx: &Ctx,
     a: &DistArray<f64>,
     b: &DistArray<f64>,
 ) -> Result<DistArray<f64>, DpfError> {
-    assert_eq!(a.rank(), 2, "matrix must be 2-D");
+    if a.rank() != 2 || a.shape()[0] != a.shape()[1] {
+        return Err(DpfError::Shape {
+            what: "matrix must be square 2-D",
+        });
+    }
     let n = a.shape()[0];
-    assert_eq!(a.shape()[1], n, "matrix must be square");
-    assert_eq!(b.shape(), &[n], "rhs must be length n");
+    if b.shape() != [n] {
+        return Err(DpfError::Shape {
+            what: "rhs must be length n",
+        });
+    }
     // Augmented system [A | b], width n+1.
     let w = n + 1;
     let mut m = vec![0.0f64; n * w];

@@ -22,17 +22,26 @@ pub struct LuFactors {
     pub perm: Vec<usize>,
 }
 
+/// The order `n` of a square 2-D matrix, or [`DpfError::Shape`].
+fn check_square(a: &DistArray<f64>) -> Result<usize, DpfError> {
+    if a.rank() != 2 || a.shape()[0] != a.shape()[1] {
+        return Err(DpfError::Shape {
+            what: "lu expects a square 2-D matrix",
+        });
+    }
+    Ok(a.shape()[0])
+}
+
 /// Factor `A` (n×n) with partial pivoting, panicking on singular input.
 pub fn lu_factor(ctx: &Ctx, a: &DistArray<f64>) -> LuFactors {
     try_lu_factor(ctx, a).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Factor `A` (n×n) with partial pivoting; a vanished pivot is reported as
-/// [`DpfError::SingularMatrix`] (same message text as the panicking path).
+/// Factor `A` (n×n) with partial pivoting. A non-square input is
+/// [`DpfError::Shape`]; a vanished pivot is [`DpfError::SingularMatrix`],
+/// found mid-elimination after the charges of the steps before it.
 pub fn try_lu_factor(ctx: &Ctx, a: &DistArray<f64>) -> Result<LuFactors, DpfError> {
-    assert_eq!(a.rank(), 2, "lu expects a square 2-D matrix");
-    let n = a.shape()[0];
-    assert_eq!(n, a.shape()[1], "lu expects a square matrix");
+    let n = check_square(a)?;
     let mut lu = a.clone();
     let mut perm: Vec<usize> = (0..n).collect();
     for k in 0..n {
@@ -142,16 +151,19 @@ pub fn lu_factor_blocked(ctx: &Ctx, a: &DistArray<f64>, nb: usize) -> LuFactors 
     try_lu_factor_blocked(ctx, a, nb).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`lu_factor_blocked`] with a recoverable [`DpfError::SingularMatrix`].
+/// [`lu_factor_blocked`] with recoverable [`DpfError`]s, as in
+/// [`try_lu_factor`]; a zero block size is [`DpfError::Shape`].
 pub fn try_lu_factor_blocked(
     ctx: &Ctx,
     a: &DistArray<f64>,
     nb: usize,
 ) -> Result<LuFactors, DpfError> {
-    assert_eq!(a.rank(), 2, "lu expects a square 2-D matrix");
-    let n = a.shape()[0];
-    assert_eq!(n, a.shape()[1], "lu expects a square matrix");
-    assert!(nb >= 1);
+    let n = check_square(a)?;
+    if nb == 0 {
+        return Err(DpfError::Shape {
+            what: "lu block size must be at least 1",
+        });
+    }
     let mut lu = a.clone();
     let mut perm: Vec<usize> = (0..n).collect();
     let mut k0 = 0;

@@ -4,7 +4,7 @@
 //! centralized busy/elapsed metering, per-benchmark communication
 //! inventories) and the repo adds equally precise code-level invariants
 //! (NaN-safe verify folds, zero-allocation `_into`/`_exec` hot paths,
-//! `try_*`/panicking twin parity, LinkMeter-metered transport sends).
+//! LinkMeter-metered transport sends).
 //! This crate makes those invariants machine-checked: a hand-rolled
 //! lexer ([`lex`]) feeds a rule engine ([`rules`]) that walks every
 //! `crates/*/src/**.rs` file and emits structured diagnostics.
@@ -30,7 +30,6 @@ pub mod lex;
 pub mod rules;
 pub mod taint;
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -359,12 +358,10 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 
 /// Lint the whole tree rooted at `root` (the repo checkout). Runs the
 /// per-file rules on every `crates/*/src/**.rs`, then the tree-wide
-/// rules (try-parity's cross-file direction). Output is sorted by
-/// `(file, line, rule)` so two runs over the same tree are
-/// byte-identical.
+/// `comm-inventory` rule. Output is sorted by `(file, line, rule)` so two
+/// runs over the same tree are byte-identical.
 pub fn lint_tree(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let mut diags = Vec::new();
-    let mut pub_fns: BTreeMap<String, Vec<(String, u32)>> = BTreeMap::new();
     let mut registry: Option<(String, String)> = None;
     let mut tables: Option<(String, String)> = None;
     for path in source_files(root)? {
@@ -376,10 +373,6 @@ pub fn lint_tree(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
             .collect::<Vec<_>>()
             .join("/");
         let src = std::fs::read_to_string(&path)?;
-        let file = SourceFile::parse(&rel, &src);
-        for (name, line) in rules::public_fns(&file) {
-            pub_fns.entry(name).or_default().push((rel.clone(), line));
-        }
         if rel.ends_with("dpf-suite/src/registry.rs") {
             registry = Some((rel.clone(), src.clone()));
         } else if rel.ends_with("dpf-suite/src/tables.rs") {
@@ -387,7 +380,6 @@ pub fn lint_tree(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
         }
         diags.extend(lint_source(&rel, &src));
     }
-    diags.extend(rules::check_required_twins(&pub_fns));
     diags.extend(rules::check_comm_inventory(
         registry.as_ref().map(|(p, s)| (p.as_str(), s.as_str())),
         tables.as_ref().map(|(p, s)| (p.as_str(), s.as_str())),

@@ -1,6 +1,6 @@
 //! The rule catalog. Every rule is a pure function over one lexed
-//! [`SourceFile`] (plus one tree-wide pass for `try-parity`'s cross-file
-//! direction), so rules compose and test in isolation.
+//! [`SourceFile`] (plus the tree-wide `comm-inventory` pass), so rules
+//! compose and test in isolation.
 //!
 //! | rule | severity | invariant |
 //! |------|----------|-----------|
@@ -8,7 +8,6 @@
 //! | `untimed-clock`    | warning | `Instant::now()` only in the sanctioned metrics/harness modules (§1.5 busy/elapsed stays centralized) |
 //! | `hot-path-alloc`   | warning | no `Vec::new`/`vec![`/`.collect()`/`.to_vec()` inside `*_into`/`*_exec` hot paths (PR 1 buffer-reuse discipline) |
 //! | `hot-path-clone`   | warning | no `.clone()` of a `DistArray` parameter inside `*_into`/`*_exec` hot paths (a clone is a whole-block copy) |
-//! | `try-parity`       | error   | every `try_*` primitive keeps its exported panicking twin, and the known comm/linalg pairs stay complete |
 //! | `metered-send`     | error   | raw channel sends in `spmd.rs` only inside the LinkMeter/envelope path (`Router::send` → `transmit`/`send_ctl`/`send_recovery`) |
 //! | `flop-conventions` | error   | the §1.5 FLOP-weight constants match the paper's table (add/mul 1, div/sqrt 4, log/trig 8) |
 //! | `comm-inventory`   | error   | registry `patterns` fields agree with the §1.5 `COMM_INVENTORY` in dpf-suite's tables.rs (tree-wide) |
@@ -54,11 +53,6 @@ pub const FILE_RULES: &[Rule] = &[
         id: "hot-path-clone",
         summary: "no DistArray clones inside *_into / *_exec hot paths",
         check: hot_path_clone,
-    },
-    Rule {
-        id: "try-parity",
-        summary: "every try_* primitive keeps its exported panicking twin",
-        check: try_parity_in_file,
     },
     Rule {
         id: "metered-send",
@@ -405,113 +399,6 @@ fn hot_path_clone(f: &SourceFile) -> Vec<Diagnostic> {
             format!("`{var}.clone()` copies a whole DistArray inside a zero-allocation hot path"),
             "borrow the input, or reuse a pooled buffer via DistArray::scratch".into(),
         ));
-    }
-    out
-}
-
-// ----------------------------------------------------------- try-parity
-
-/// All `pub fn` names in a file, with the line each is declared on.
-/// (`pub(crate)` and friends count: the parity contract is about the
-/// crate keeping both spellings callable, not about visibility width.)
-pub fn public_fns(f: &SourceFile) -> Vec<(String, u32)> {
-    let mut out = Vec::new();
-    for i in 0..f.tokens.len() {
-        if !ident(f.tokens.get(i), "pub") {
-            continue;
-        }
-        let mut j = i + 1;
-        // Skip a visibility scope like `(crate)` / `(super)`.
-        if punct(f.tokens.get(j), '(') {
-            while j < f.tokens.len() && !punct(f.tokens.get(j), ')') {
-                j += 1;
-            }
-            j += 1;
-        }
-        if ident(f.tokens.get(j), "fn") {
-            if let Some(Tok::Ident(name)) = f.tokens.get(j + 1).map(|t| &t.tok) {
-                out.push((name.clone(), f.tokens[j + 1].line));
-            }
-        }
-    }
-    out
-}
-
-fn try_parity_in_file(f: &SourceFile) -> Vec<Diagnostic> {
-    let fns = public_fns(f);
-    let names: std::collections::BTreeSet<&str> = fns.iter().map(|(n, _)| n.as_str()).collect();
-    let mut out = Vec::new();
-    for (name, line) in &fns {
-        if let Some(base) = name.strip_prefix("try_") {
-            if !names.contains(base) {
-                out.push(Diagnostic::new(
-                    &f.path,
-                    *line,
-                    "try-parity",
-                    Severity::Error,
-                    format!("`{name}` has no exported panicking twin `{base}` in this file"),
-                    format!("keep `pub fn {base}` next to `pub fn {name}` (PR 2 parity contract)"),
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// The comm/linalg/fft primitives that PR 2 gave fallible twins. Both
-/// spellings must stay exported somewhere in the tree.
-pub const REQUIRED_TWINS: &[&str] = &[
-    "gather",
-    "gather_nd",
-    "scatter",
-    "scatter_combine",
-    "scatter_nd_combine",
-    "transpose",
-    "fft",
-    "fft_row",
-    "fft_axis",
-    "fft_axis_as",
-    "lu_factor",
-    "lu_factor_blocked",
-    "gauss_jordan_solve",
-];
-
-/// Tree-wide direction of `try-parity`: given every `pub fn` in the
-/// tree (name → declaration sites), check the required twin pairs are
-/// both present.
-pub fn check_required_twins(pub_fns: &BTreeMap<String, Vec<(String, u32)>>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for base in REQUIRED_TWINS {
-        let try_name = format!("try_{base}");
-        let base_at = pub_fns.get(*base).and_then(|v| v.first());
-        let try_at = pub_fns.get(&try_name).and_then(|v| v.first());
-        match (base_at, try_at) {
-            (Some(_), Some(_)) => {}
-            (Some((file, line)), None) => out.push(Diagnostic::new(
-                file,
-                *line,
-                "try-parity",
-                Severity::Error,
-                format!("panicking primitive `{base}` lost its fallible twin `{try_name}`"),
-                format!("restore `pub fn {try_name}` (PR 2 parity contract)"),
-            )),
-            (None, Some((file, line))) => out.push(Diagnostic::new(
-                file,
-                *line,
-                "try-parity",
-                Severity::Error,
-                format!("fallible `{try_name}` lost its panicking twin `{base}`"),
-                format!("restore `pub fn {base}` (PR 2 parity contract)"),
-            )),
-            (None, None) => out.push(Diagnostic::new(
-                "(tree)",
-                0,
-                "try-parity",
-                Severity::Error,
-                format!("required primitive pair `{base}`/`{try_name}` is missing from the tree"),
-                "restore both exports or update rules::REQUIRED_TWINS with the rename".into(),
-            )),
-        }
     }
     out
 }
@@ -1174,14 +1061,6 @@ pub fn scale_into(plan: &Plan, out: &mut DistArray<f64>) {
         assert!(!rules_hit(src, "a.rs")
             .iter()
             .any(|h| h.0 == "hot-path-clone"));
-    }
-
-    #[test]
-    fn try_parity_wants_the_twin_in_file() {
-        let src = "pub fn try_gather() {}";
-        assert!(rules_hit(src, "a.rs").iter().any(|h| h.0 == "try-parity"));
-        let src2 = "pub fn try_gather() {}\npub fn gather() {}";
-        assert!(!rules_hit(src2, "a.rs").iter().any(|h| h.0 == "try-parity"));
     }
 
     #[test]

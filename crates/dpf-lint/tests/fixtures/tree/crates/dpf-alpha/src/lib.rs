@@ -1,8 +1,9 @@
-// Mini-tree fixture crate "alpha": exports a fallible primitive with
-// no panicking twin anywhere in the tree.
+// Mini-tree fixture crate "alpha": a wall-clock read outside the
+// sanctioned timing modules, so the tree walk reports findings from
+// more than one crate.
 
-pub fn try_solve(n: usize) -> Result<usize, ()> {
-    Ok(n)
+pub fn stamp() -> std::time::Instant {
+    std::time::Instant::now()
 }
 
 pub fn helper(n: usize) -> usize {

@@ -10,31 +10,22 @@
 //! depend on thread scheduling). Two soaks with the same configuration
 //! therefore render byte-identical summaries, which CI diffs.
 
-use dpf_core::derive_seed;
+use dpf_core::{derive_seed, splitmix64};
 
 use crate::benchmark::Version;
 use crate::harness::{run_guarded, RunOutcome, SuiteConfig, SuiteRow};
 use crate::registry::registry;
 
-/// SplitMix64 step — the same generator the fault injector uses,
-/// re-derived here so kill schedules stay a pure function of the seed.
-fn splitmix64(state: &mut u64) {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    *state = z ^ (z >> 31);
-}
-
-/// A uniform draw in `[0, 1)` from the top 53 bits of the state.
+/// A uniform draw in `[0, 1)` from the top 53 bits of the advanced
+/// SplitMix64 state, so kill schedules stay a pure function of the seed.
 fn unit(state: &mut u64) -> f64 {
-    splitmix64(state);
+    *state = splitmix64(*state);
     (*state >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// A uniform draw in `0..n`.
 fn below(state: &mut u64, n: u64) -> u64 {
-    splitmix64(state);
+    *state = splitmix64(*state);
     *state % n.max(1)
 }
 

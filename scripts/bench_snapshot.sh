@@ -4,11 +4,10 @@
 #
 # Usage: scripts/bench_snapshot.sh [output.json]
 #
-# Each benchmark id has the form <op>/<variant>/<elements>, where variant
-# is `new` (current library path) or `seed` (inline transcription of the
-# pre-optimization implementation — see benches/hotpath.rs). The snapshot
-# groups the two variants per (op, elements) pair and records the
-# seed/new median-time ratio, i.e. the throughput speedup.
+# Each benchmark id has the form <op>/new/<elements>, where `new` is the
+# current library path (see benches/hotpath.rs). The snapshot records one
+# entry per (op, elements) pair; scripts/bench_gate.py compares the `new`
+# medians of two snapshots.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -27,26 +26,22 @@ with open(raw_path) as f:
     for line in f:
         rows.append(json.loads(line.split(None, 1)[1]))
 
-results = {}
+benches = []
 for r in rows:
     op, variant, elems = r["id"].split("/")
-    results.setdefault((op, int(elems)), {})[variant] = r
-
-benches = []
-for (op, elems), variants in sorted(results.items()):
-    entry = {"op": op, "elements": elems}
-    for variant, r in sorted(variants.items()):
-        entry[variant] = {
-            "median_ns": r["median_ns"],
-            "min_ns": r["min_ns"],
-            "max_ns": r["max_ns"],
-            "elem_per_sec": r.get("elem_per_sec"),
+    benches.append(
+        {
+            "op": op,
+            "elements": int(elems),
+            variant: {
+                "median_ns": r["median_ns"],
+                "min_ns": r["min_ns"],
+                "max_ns": r["max_ns"],
+                "elem_per_sec": r.get("elem_per_sec"),
+            },
         }
-    if "new" in variants and "seed" in variants:
-        entry["speedup_seed_over_new"] = round(
-            variants["seed"]["median_ns"] / variants["new"]["median_ns"], 3
-        )
-    benches.append(entry)
+    )
+benches.sort(key=lambda b: (b["op"], b["elements"]))
 
 try:
     rustc = subprocess.run(
@@ -67,5 +62,5 @@ snapshot = {
 with open(out_path, "w") as f:
     json.dump(snapshot, f, indent=2)
     f.write("\n")
-print(f"wrote {out_path} ({len(benches)} bench pairs)")
+print(f"wrote {out_path} ({len(benches)} benches)")
 EOF

@@ -10,11 +10,11 @@
 
 use dpf::array::{DistArray, PAR, PAR_THRESHOLD, SER};
 use dpf::comm::{
-    broadcast, broadcast_scalar, cshift, dot, eoshift, gather, gather_combine, gather_nd, get,
-    max_all, maxloc_abs, min_all, product_all, scan_add, scan_add_exclusive, scatter,
-    scatter_combine, scatter_nd_combine, segmented_copy_scan, segmented_scan_add, send, sort_keys,
-    spread, star_stencil, stencil, sum_all, sum_axis, sum_masked, transpose, transpose_axes,
-    Combine, StencilBoundary,
+    broadcast, broadcast_scalar, cshift, dot, eoshift, gather, gather_combine, get, max_all,
+    maxloc_abs, min_all, product_all, scan_add, scan_add_exclusive, scatter, scatter_combine,
+    segmented_copy_scan, segmented_scan_add, send, sort_keys, spread, star_stencil, stencil,
+    sum_all, sum_axis, sum_masked, transpose, transpose_axes, try_gather_nd,
+    try_scatter_nd_combine, Combine, StencilBoundary,
 };
 use dpf::core::{Backend, Ctx, FaultPlan, LinkFaultKind, Machine};
 use proptest::prelude::*;
@@ -212,7 +212,7 @@ proptest! {
             let m = r * c;
             let ci = DistArray::<i32>::from_fn(ctx, &[m], &[PAR], |i| ((i[0] * 3 + 1) % r) as i32);
             let cj = DistArray::<i32>::from_fn(ctx, &[m], &[PAR], |i| ((i[0] * 5 + 2) % c) as i32);
-            gather_nd(ctx, &src, &[&ci, &cj]).to_vec()
+            try_gather_nd(ctx, &src, &[&ci, &cj]).unwrap().to_vec()
         });
     }
 
@@ -254,7 +254,7 @@ proptest! {
             let ci = DistArray::<i32>::from_fn(ctx, &[m], &[PAR], |i| ((i[0] * 3 + 1) % r) as i32);
             let cj = DistArray::<i32>::from_fn(ctx, &[m], &[PAR], |i| ((i[0] * 5 + 2) % c) as i32);
             let mut dst = DistArray::<f64>::zeros(ctx, &[r, c], &[PAR, PAR]);
-            scatter_nd_combine(ctx, &mut dst, &[&ci, &cj], &src, Combine::Add);
+            try_scatter_nd_combine(ctx, &mut dst, &[&ci, &cj], &src, Combine::Add).unwrap();
             dst.to_vec()
         });
     }

@@ -1,7 +1,7 @@
 //! Tier-1 gate: the shipped tree is clean under the project's own
 //! static-analysis pass (`crates/dpf-lint`). Any NaN-unsafe fold, raw
-//! clock read, hot-path allocation, broken `try_*` twin, unmetered
-//! transport send, drifted §1.5 FLOP weight, unexcused `unsafe`,
+//! clock read, hot-path allocation, unmetered transport send, drifted
+//! §1.5 FLOP weight, unexcused `unsafe`,
 //! rank-gated collective, lock-order inversion, nondeterminism flow
 //! into verified state, or unrunnable registry paper version anywhere
 //! in `crates/*/src` fails this test with the offending `file:line` in
