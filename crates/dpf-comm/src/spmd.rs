@@ -1,7 +1,7 @@
 //! Shared machinery for the SPMD backend of the communication primitives.
 //!
-//! Under [`Backend::Spmd`](dpf_core::Backend) each collective spawns one
-//! worker thread per virtual processor
+//! Under [`Backend::Spmd`](dpf_core::Backend) each collective runs one
+//! worker per virtual processor on a parked worker thread, a *seat*
 //! ([`run_workers`](dpf_core::run_workers)). A worker sees only its own
 //! block of every distributed array — the [`Segs`]/[`SegsMut`] views built
 //! here from [`Layout::for_each_owner_segment`] — and obtains every remote

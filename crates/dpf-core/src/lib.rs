@@ -49,6 +49,6 @@ pub use pool::BufferPool;
 pub use report::{BenchReport, PerfSummary};
 pub use spmd::{
     crc32, install_quiet_panic_hook, run_workers, set_quiet_panics, Backend, LinkMeter, Router,
-    ShardState, SpmdBarrier, Transport, TransportCfg,
+    ShardState, Transport, TransportCfg,
 };
 pub use verify::{nan_max, nan_min, Verify};

@@ -3,11 +3,12 @@
 //!
 //! The default [`Backend::Virtual`] computes every collective on the host
 //! (rayon pool) and *models* the off-processor traffic analytically. Under
-//! [`Backend::Spmd`] each collective in `dpf-comm` instead spawns one
-//! worker thread per virtual processor, hands each worker only its own
-//! block of every distributed array (per the [`Layout`] block extents) and
-//! moves data between blocks over typed `mpsc` channels — so the bytes a
-//! run reports are bytes that actually crossed a channel.
+//! [`Backend::Spmd`] each collective in `dpf-comm` instead runs one worker
+//! per virtual processor, each on its own *seat* — a long-lived thread
+//! that parks between collectives — hands each worker only its own block
+//! of every distributed array (per the [`Layout`] block extents) and moves
+//! data between blocks over typed `mpsc` channels — so the bytes a run
+//! reports are bytes that actually crossed a channel.
 //!
 //! This module is the machinery shared by every SPMD collective:
 //!
@@ -20,15 +21,19 @@
 //! * [`TransportCfg`] / [`Transport`] — the transport configuration
 //!   (link-fault rate, retry budget, timeouts, buffer caps) and the
 //!   meter+config pair every collective passes to [`run_workers`].
-//! * [`SpmdBarrier`] — a reusable generation-counted barrier; collectives
+//! * `SpmdBarrier` — a reusable generation-counted barrier; collectives
 //!   reuse one barrier object across their communication rounds.
 //! * [`Router`] — a worker's mailbox: senders to every peer plus a
 //!   receiver with per-sender pending queues, so per-pair FIFO order
 //!   holds even when rounds interleave on the shared channel.
-//! * [`run_workers`] — spawns the worker set on scoped threads, supervises
+//! * [`run_workers`] — takes p idle seats from a process-wide set (spawning
+//!   seats only when too few are idle), hands each its worker, supervises
 //!   them (a panicked worker is recorded and its peers are released with a
-//!   typed [`DpfError::WorkerDied`]), joins them, and re-raises the most
-//!   informative failure on the caller.
+//!   typed [`DpfError::WorkerDied`]), waits until every worker has
+//!   finished, parks the seats again and re-raises the most informative
+//!   failure on the caller. Channels, routers, supervision and barrier are
+//!   built per collective, so sequence numbers restart at zero in every
+//!   collective.
 //!
 //! # Reliable delivery over unreliable links
 //!
@@ -77,9 +82,9 @@
 //! death; [`Router::check_deaths`] then parks every surviving worker at a
 //! three-phase recovery rendezvous rather than panicking it:
 //!
-//! 1. **Quiesce** — all p drivers (the victim is represented by a freshly
-//!    respawned thread) arrive at the recovery barrier, so every doomed
-//!    in-flight frame is already sitting in some receiver's channel.
+//! 1. **Quiesce** — all p drivers (the victim's seat re-enters the epoch
+//!    as the respawned rank) arrive at the recovery barrier, so every
+//!    doomed in-flight frame is already sitting in some receiver's channel.
 //! 2. **Rewind** — each driver drains its own channel (keeping replica
 //!    frames, discarding doomed data/ack/nack traffic), resets its
 //!    sequence/reassembly state, and restores its shard from the local
@@ -410,7 +415,7 @@ impl LinkMeter {
         self.rehydrate_bytes.load(Ordering::Relaxed)
     }
 
-    /// Worker threads respawned in-run after a death.
+    /// Ranks respawned in-run after a death.
     pub fn respawns(&self) -> u64 {
         self.respawns.load(Ordering::Relaxed)
     }
@@ -842,11 +847,13 @@ impl StallWatch {
 }
 
 /// A reusable barrier for `n` workers: generation-counted, so the same
-/// object serves every round of a collective. [`Router::barrier`] waits in
-/// slices so it can keep servicing the transport; the standalone
-/// [`SpmdBarrier::wait`] remains for barrier-only users and panics with a
-/// generation/arrival diagnosis instead of hanging.
-pub struct SpmdBarrier {
+/// object serves every round of a collective. Waiters [`arrive`] and then
+/// [`poll`] in slices, so [`Router::barrier`] can keep servicing the
+/// transport and apply the configured timeouts while it waits.
+///
+/// [`arrive`]: SpmdBarrier::arrive
+/// [`poll`]: SpmdBarrier::poll
+pub(crate) struct SpmdBarrier {
     state: Mutex<(usize, u64)>,
     cv: Condvar,
     n: usize,
@@ -893,11 +900,6 @@ impl SpmdBarrier {
         state.1 != gen
     }
 
-    /// The current generation (completed barrier rounds).
-    pub fn generation(&self) -> u64 {
-        self.state.lock().expect("spmd barrier poisoned").1
-    }
-
     /// Workers arrived at the current generation so far.
     pub fn arrived(&self) -> usize {
         self.state.lock().expect("spmd barrier poisoned").0
@@ -912,25 +914,6 @@ impl SpmdBarrier {
     /// the recovery barrier.
     fn reset_arrivals(&self) {
         self.state.lock().expect("spmd barrier poisoned").0 = 0;
-    }
-
-    /// Block until all `n` workers have arrived at this generation.
-    pub fn wait(&self) {
-        let Some(gen) = self.arrive() else { return };
-        let deadline = Instant::now() + DEFAULT_HARD_TIMEOUT;
-        loop {
-            if self.poll(gen, Duration::from_millis(50)) {
-                return;
-            }
-            if Instant::now() >= deadline {
-                panic!(
-                    "spmd barrier timed out after {DEFAULT_HARD_TIMEOUT:?} at generation {gen} \
-                     ({}/{} workers arrived; deadlock suspected)",
-                    self.arrived(),
-                    self.n
-                );
-            }
-        }
     }
 }
 
@@ -2046,57 +2029,14 @@ where
     Ok(())
 }
 
-/// Hand the dead rank's seat to a fresh thread. The dying driver's thread
-/// blocks on the join and relays the replacement's result, so the outer
-/// `run_workers` join loop still sees exactly one result per rank. The
-/// recursion back into [`drive`] is the same monomorphized instantiation,
-/// bounded by the respawn budget.
-fn respawn<M, W, R, F>(
-    w: W,
-    router: Router<'_, M>,
-    f: &F,
-    collective: u64,
-    epoch_mark: (u64, u64),
-    respawns_left: u32,
-    fired: Vec<bool>,
-) -> Result<R, Box<dyn Any + Send>>
-where
-    M: Send + Clone,
-    W: Send + ShardState,
-    R: Send,
-    F: Fn(usize, &mut W, &mut Router<'_, M>) -> R + Sync,
-{
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            drive(
-                w,
-                router,
-                f,
-                collective,
-                epoch_mark,
-                respawns_left,
-                fired,
-                true,
-            )
-        })
-        .join()
-        .unwrap_or_else(|_| {
-            Err(
-                Box::new("spmd respawned worker thread machinery panicked".to_string())
-                    as Box<dyn Any + Send>,
-            )
-        })
-    })
-}
-
 /// One worker's supervised epoch loop. Without in-run healing this is a
 /// single pass: run the body, retire, linger. With healing armed, each
 /// iteration of the loop is one *attempt* at the epoch: capture + push
 /// the shard replica, honor any scheduled kill, run the body, and either
 /// commit (all workers completed) or rewind through [`heal_round`] and
 /// try again. A healable death (injected kill or untyped body panic)
-/// converts this thread into a [`respawn`] relay instead of a hard abort.
-#[allow(clippy::too_many_arguments)]
+/// respawns the rank in place: the same seat scrambles the work item and
+/// re-enters the epoch as the recovery round's victim.
 fn drive<M, W, R, F>(
     mut w: W,
     mut router: Router<'_, M>,
@@ -2105,7 +2045,6 @@ fn drive<M, W, R, F>(
     epoch_mark: (u64, u64),
     mut respawns_left: u32,
     mut fired: Vec<bool>,
-    resume_as_victim: bool,
 ) -> Result<R, Box<dyn Any + Send>>
 where
     M: Send + Clone,
@@ -2117,16 +2056,6 @@ where
     let rank = router.rank;
     let heal_armed = router.sup.heal_armed;
     let mut snapshot: Vec<u8> = Vec::new();
-    if resume_as_victim {
-        heal_round(
-            &mut router,
-            &mut w,
-            &snapshot,
-            HealRole::Victim,
-            epoch_mark,
-            collective,
-        )?;
-    }
     loop {
         if heal_armed {
             snapshot.clear();
@@ -2139,109 +2068,241 @@ where
             .find(|&i| !fired[i] && router.cfg.kill_workers[i] == (rank, collective));
         if let Some(i) = due {
             fired[i] = true;
-            if heal_armed && respawns_left > 0 {
-                router.sup.record_heal(rank);
-                scramble(&mut w, &snapshot);
-                router.meter.note_respawn();
-                respawns_left -= 1;
-                return respawn(w, router, f, collective, epoch_mark, respawns_left, fired);
+            if !(heal_armed && respawns_left > 0) {
+                let msg =
+                    format!("injected fault: spmd worker {rank} killed at collective {collective}");
+                router.sup.record_death(rank, msg.clone(), true);
+                return Err(Box::new(msg));
             }
-            let msg =
-                format!("injected fault: spmd worker {rank} killed at collective {collective}");
-            router.sup.record_death(rank, msg.clone(), true);
-            return Err(Box::new(msg));
-        }
-        match catch_unwind(AssertUnwindSafe(|| f(rank, &mut w, &mut router))) {
-            Ok(out) => {
-                let committed = if heal_armed {
-                    match router.commit_wait() {
-                        CommitOutcome::Committed => true,
-                        CommitOutcome::Heal => {
-                            heal_round(
-                                &mut router,
-                                &mut w,
-                                &snapshot,
-                                HealRole::Peer,
-                                epoch_mark,
-                                collective,
-                            )?;
-                            continue;
+        } else {
+            match catch_unwind(AssertUnwindSafe(|| f(rank, &mut w, &mut router))) {
+                Ok(out) => {
+                    if heal_armed {
+                        match router.commit_wait() {
+                            CommitOutcome::Committed => {}
+                            CommitOutcome::Heal => {
+                                heal_round(
+                                    &mut router,
+                                    &mut w,
+                                    &snapshot,
+                                    HealRole::Peer,
+                                    epoch_mark,
+                                    collective,
+                                )?;
+                                continue;
+                            }
+                            CommitOutcome::Aborted => {
+                                let payload = router.heal_abort_payload();
+                                router
+                                    .sup
+                                    .record_death(rank, payload_str(payload.as_ref()), true);
+                                return Err(payload);
+                            }
                         }
-                        CommitOutcome::Aborted => {
-                            let payload = router.heal_abort_payload();
+                    }
+                    router.sup.retire(rank);
+                    return match catch_unwind(AssertUnwindSafe(|| router.linger())) {
+                        Ok(()) => Ok(out),
+                        Err(payload) => {
                             router
                                 .sup
-                                .record_death(rank, payload_str(payload.as_ref()), true);
-                            return Err(payload);
+                                .record_death(rank, payload_str(payload.as_ref()), false);
+                            Err(payload)
                         }
+                    };
+                }
+                Err(payload) => {
+                    if payload.is::<HealRewind>() {
+                        heal_round(
+                            &mut router,
+                            &mut w,
+                            &snapshot,
+                            HealRole::Peer,
+                            epoch_mark,
+                            collective,
+                        )?;
+                        continue;
                     }
-                } else {
-                    true
-                };
-                debug_assert!(committed);
-                router.sup.retire(rank);
-                return match catch_unwind(AssertUnwindSafe(|| router.linger())) {
-                    Ok(()) => Ok(out),
-                    Err(payload) => {
+                    // Typed DpfError payloads (link failures, backpressure,
+                    // deadlock diagnoses, peer-death echoes) are hard faults:
+                    // respawning would not change the outcome, and the
+                    // harness owns that recovery policy. Untyped panics — the
+                    // injected kills and generic body bugs — are healable.
+                    let healable = heal_armed
+                        && respawns_left > 0
+                        && payload.downcast_ref::<DpfError>().is_none();
+                    if !healable {
                         router
                             .sup
-                            .record_death(rank, payload_str(payload.as_ref()), false);
-                        Err(payload)
+                            .record_death(rank, payload_str(payload.as_ref()), true);
+                        return Err(payload);
                     }
-                };
-            }
-            Err(payload) => {
-                if payload.is::<HealRewind>() {
-                    heal_round(
-                        &mut router,
-                        &mut w,
-                        &snapshot,
-                        HealRole::Peer,
-                        epoch_mark,
-                        collective,
-                    )?;
-                    continue;
                 }
-                // Typed DpfError payloads (link failures, backpressure,
-                // deadlock diagnoses, peer-death echoes) are hard faults:
-                // respawning would not change the outcome, and the
-                // harness owns that recovery policy. Untyped panics — the
-                // injected kills and generic body bugs — are healable.
-                let healable =
-                    heal_armed && respawns_left > 0 && payload.downcast_ref::<DpfError>().is_none();
-                if healable {
-                    router.sup.record_heal(rank);
-                    scramble(&mut w, &snapshot);
-                    router.meter.note_respawn();
-                    respawns_left -= 1;
-                    return respawn(w, router, f, collective, epoch_mark, respawns_left, fired);
-                }
-                router
-                    .sup
-                    .record_death(rank, payload_str(payload.as_ref()), true);
-                return Err(payload);
             }
         }
+        // A healable death: respawn the rank on this same seat. Its work
+        // item is garbled so that only the buddy's replica can restore it,
+        // and the seat joins the recovery round as the victim before
+        // re-running the epoch.
+        router.sup.record_heal(rank);
+        scramble(&mut w, &snapshot);
+        router.meter.note_respawn();
+        respawns_left -= 1;
+        heal_round(
+            &mut router,
+            &mut w,
+            &snapshot,
+            HealRole::Victim,
+            epoch_mark,
+            collective,
+        )?;
     }
 }
 
-/// Spawn `nprocs` workers on scoped threads, one per virtual processor,
-/// each receiving its rank, its element of `work` (the worker's own array
-/// blocks and outputs) and a [`Router`] wired to every peer. Returns the
-/// workers' results in rank order.
+/// A worker handed to a seat, with every borrow erased to `'static`; see
+/// the SAFETY argument in [`run_on`].
+type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// A parked worker thread, held through the sending end of its job queue.
+/// The thread runs jobs in arrival order and ends when this sender drops.
+/// It is never joined: a job catches its worker's panics, so the thread
+/// cannot unwind, and ending it has nothing to report.
+struct Seat {
+    jobs: Sender<Job>,
+}
+
+impl Seat {
+    fn spawn() -> Seat {
+        let (jobs, queue) = channel::<Job>();
+        std::thread::Builder::new()
+            .name("dpf-spmd-seat".to_string())
+            .spawn(move || {
+                for job in queue {
+                    job();
+                }
+            })
+            .expect("spawn an SPMD seat thread");
+        Seat { jobs }
+    }
+}
+
+/// Idle seats. A collective takes as many as it has workers and parks
+/// them again when it finishes, so the set grows to the largest number of
+/// workers ever running at once and no further.
+struct SeatSet {
+    idle: Mutex<Vec<Seat>>,
+}
+
+impl SeatSet {
+    const fn new() -> Self {
+        SeatSet {
+            idle: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Take `n` seats: idle ones first, freshly spawned ones for the rest.
+    fn take(&self, n: usize) -> Vec<Seat> {
+        let mut team = {
+            let mut idle = self.idle.lock().expect("spmd seat set poisoned");
+            let keep = idle.len().saturating_sub(n);
+            idle.split_off(keep)
+        };
+        while team.len() < n {
+            team.push(Seat::spawn());
+        }
+        team
+    }
+
+    fn park(&self, team: Vec<Seat>) {
+        self.idle
+            .lock()
+            .expect("spmd seat set poisoned")
+            .extend(team);
+    }
+}
+
+/// The process-wide seat set every [`run_workers`] call draws from.
+static SEATS: SeatSet = SeatSet::new();
+
+/// Completion latch for one collective's jobs. Every job owns a clone of
+/// the sender, signals on it once its worker's result is stored, and drops
+/// it only together with the job closure, so the channel disconnects
+/// exactly when the last job — and everything it borrowed — is gone.
+/// Dropping the latch waits for that too, which keeps the caller from
+/// unwinding past a running job.
+struct Latch {
+    done: Option<Sender<()>>,
+    signals: Receiver<()>,
+}
+
+impl Latch {
+    fn new() -> Self {
+        let (done, signals) = channel();
+        Latch {
+            done: Some(done),
+            signals,
+        }
+    }
+
+    fn sender(&self) -> Sender<()> {
+        self.done.clone().expect("latch is still open")
+    }
+
+    /// Block until every job closure has been dropped.
+    fn wait(&mut self) {
+        self.done = None;
+        while self.signals.recv().is_ok() {}
+    }
+}
+
+impl Drop for Latch {
+    fn drop(&mut self) {
+        self.wait();
+    }
+}
+
+/// Run `nprocs` workers, one per virtual processor, each receiving its
+/// rank, its element of `work` (the worker's own array blocks and
+/// outputs) and a [`Router`] wired to every peer. Returns the workers'
+/// results in rank order.
+///
+/// Workers run on *seats*: threads spawned once and parked in a
+/// process-wide idle set between collectives. A call takes `nprocs` idle
+/// seats, spawning new ones only when too few are idle, hands each seat
+/// its worker, blocks until every worker has finished and parks the seats
+/// again. Concurrent callers each draw their own seats. Channels,
+/// routers, supervision and the barrier are built per call, so sequence
+/// numbers restart at zero in every collective.
 ///
 /// Workers are supervised: a panicking worker is caught, its death is
 /// recorded so blocked peers abort with a typed [`DpfError::WorkerDied`],
-/// and after all workers join the most informative failure — the root
+/// and after all workers finish the most informative failure — the root
 /// cause, preferring any non-`WorkerDied` payload — is re-raised on the
 /// caller. Finished workers linger to service retransmissions until the
 /// whole set retires, so faults on final frames are still repaired.
 ///
 /// Under `--recover in-run` (with more than one worker) healable deaths
 /// do not abort: the collective rewinds to its start, the dead rank is
-/// respawned and rehydrated from its buddy's replica, and the epoch
-/// re-runs — see the module docs and [`ShardState`].
+/// respawned on its own seat and rehydrated from its buddy's replica, and
+/// the epoch re-runs — see the module docs and [`ShardState`].
 pub fn run_workers<M, W, R, F>(
+    nprocs: usize,
+    transport: Transport<'_>,
+    work: Vec<W>,
+    f: F,
+) -> Vec<R>
+where
+    M: Send + Clone,
+    W: Send + ShardState,
+    R: Send,
+    F: Fn(usize, &mut W, &mut Router<'_, M>) -> R + Sync,
+{
+    run_on(&SEATS, nprocs, transport, work, f)
+}
+
+/// [`run_workers`] on the seats of `seats`.
+fn run_on<M, W, R, F>(
+    seats: &SeatSet,
     nprocs: usize,
     transport: Transport<'_>,
     work: Vec<W>,
@@ -2290,60 +2351,80 @@ where
         })
         .collect();
     drop(txs);
-    std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = routers
-            .into_iter()
-            .zip(work)
-            .map(|(router, w)| {
-                let fired = vec![false; cfg.kill_workers.len()];
-                s.spawn(move || {
-                    drive(
-                        w,
-                        router,
-                        f,
-                        collective,
-                        epoch_mark,
-                        cfg.max_respawns,
-                        fired,
-                        false,
-                    )
-                })
-            })
-            .collect();
-        let mut oks = Vec::with_capacity(nprocs);
-        let mut root: Option<Box<dyn Any + Send>> = None;
-        let mut secondary: Option<Box<dyn Any + Send>> = None;
-        for handle in handles {
-            match handle
-                .join()
-                .expect("spmd worker thread machinery panicked")
-            {
-                Ok(r) => oks.push(r),
-                Err(payload) => {
-                    let is_secondary = payload
-                        .downcast_ref::<DpfError>()
-                        .is_some_and(|e| matches!(e, DpfError::WorkerDied { .. }));
-                    if is_secondary {
-                        if secondary.is_none() {
-                            secondary = Some(payload);
-                        }
-                    } else if root.is_none() {
-                        root = Some(payload);
+    let team = seats.take(nprocs);
+    let mut reports: Vec<Option<Result<R, Box<dyn Any + Send>>>> =
+        (0..nprocs).map(|_| None).collect();
+    // Declared after everything the jobs borrow, so it is dropped — and
+    // waits for the jobs — before any of it.
+    let mut latch = Latch::new();
+    let f = &f;
+    let seated = team.iter().zip(routers).zip(work).zip(reports.iter_mut());
+    for (((seat, router), w), report) in seated {
+        let fired = vec![false; cfg.kill_workers.len()];
+        let done = latch.sender();
+        let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+            // A panic that escapes `drive` is reported like a worker's.
+            let out = catch_unwind(AssertUnwindSafe(|| {
+                drive(
+                    w,
+                    router,
+                    f,
+                    collective,
+                    epoch_mark,
+                    cfg.max_respawns,
+                    fired,
+                )
+            }));
+            *report = Some(out.unwrap_or_else(Err));
+            // Publishes the report; the receiver lives in `latch` until
+            // this closure is dropped.
+            // dpf-lint: allow(metered-send, reason = "seat completion signal, not SPMD traffic")
+            let _ = done.send(());
+        });
+        // The job borrows `f`, `report`, `barrier`, `sup`, `meter` and
+        // `cfg`, all of which outlive `latch`, and owns a clone of `done`
+        // that is dropped only with the job closure itself.
+        // SAFETY: only the lifetime changes. `latch` blocks, on return and
+        // on unwind alike, until every job closure has been dropped.
+        // dpf-lint: allow(unsafe-forbid, reason = "seat hand-off of a borrowing job; the latch outlives it")
+        let job: Job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
+        // dpf-lint: allow(metered-send, reason = "seat job hand-off, not SPMD traffic")
+        let handed = seat.jobs.send(job);
+        handed.expect("a seat's thread outlives its sender");
+    }
+    latch.wait();
+    seats.park(team);
+    let mut oks = Vec::with_capacity(nprocs);
+    let mut root: Option<Box<dyn Any + Send>> = None;
+    let mut secondary: Option<Box<dyn Any + Send>> = None;
+    for out in reports {
+        match out.expect("every worker reports once") {
+            Ok(r) => oks.push(r),
+            Err(payload) => {
+                let is_secondary = payload
+                    .downcast_ref::<DpfError>()
+                    .is_some_and(|e| matches!(e, DpfError::WorkerDied { .. }));
+                if is_secondary {
+                    if secondary.is_none() {
+                        secondary = Some(payload);
                     }
+                } else if root.is_none() {
+                    root = Some(payload);
                 }
             }
         }
-        if let Some(payload) = root.or(secondary) {
-            std::panic::resume_unwind(payload);
-        }
-        oks
-    })
+    }
+    if let Some(payload) = root.or(secondary) {
+        std::panic::resume_unwind(payload);
+    }
+    oks
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::thread::ThreadId;
 
     #[test]
     fn backend_parses_and_displays() {
@@ -2424,11 +2505,19 @@ mod tests {
     #[test]
     fn barrier_is_reusable() {
         let b = SpmdBarrier::new(4);
+        let arrivals = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
-                    for _ in 0..10 {
-                        b.wait();
+                    for round in 1..=10 {
+                        arrivals.fetch_add(1, Ordering::SeqCst);
+                        if let Some(gen) = b.arrive() {
+                            let released =
+                                (0..1200).any(|_| b.poll(gen, Duration::from_millis(50)));
+                            assert!(released, "generation {gen} never released");
+                        }
+                        // Nobody leaves a round before all four arrived at it.
+                        assert!(arrivals.load(Ordering::SeqCst) >= 4 * round);
                     }
                 });
             }
@@ -2878,6 +2967,175 @@ mod tests {
         let payload = res.expect_err("kill with no budget must fail");
         let msg = payload_str(payload.as_ref());
         assert!(msg.contains("killed at collective 0"), "got: {msg}");
+    }
+
+    /// One all-to-all exchange on `seats`; checks the sums and returns the
+    /// thread each rank ran on.
+    fn exchange_on(
+        seats: &SeatSet,
+        nprocs: usize,
+        meter: &LinkMeter,
+        cfg: &TransportCfg,
+    ) -> Vec<ThreadId> {
+        let out = run_on::<u64, (), (u64, ThreadId), _>(
+            seats,
+            nprocs,
+            Transport::new(meter, cfg),
+            vec![(); nprocs],
+            |rank, _w, router| {
+                for to in 0..router.nprocs() {
+                    router.send(to, 8, rank as u64);
+                }
+                let mut sum = 0;
+                for from in 0..router.nprocs() {
+                    sum += router.recv_from(from);
+                }
+                (sum, std::thread::current().id())
+            },
+        );
+        let want: u64 = (0..nprocs as u64).sum();
+        assert!(out.iter().all(|&(sum, _)| sum == want), "wrong sums");
+        out.into_iter().map(|(_, id)| id).collect()
+    }
+
+    fn idle_seats(seats: &SeatSet) -> usize {
+        seats.idle.lock().unwrap().len()
+    }
+
+    #[test]
+    fn consecutive_collectives_reuse_the_same_seats() {
+        let seats = SeatSet::new();
+        let meter = LinkMeter::new();
+        let clean = TransportCfg::default();
+        let first = exchange_on(&seats, 4, &meter, &clean);
+        let second = exchange_on(&seats, 4, &meter, &clean);
+        let distinct: HashSet<ThreadId> = first.iter().copied().collect();
+        assert_eq!(distinct.len(), 4, "one seat per worker");
+        assert!(!distinct.contains(&std::thread::current().id()));
+        assert_eq!(
+            distinct,
+            second.iter().copied().collect::<HashSet<ThreadId>>()
+        );
+        assert_eq!(idle_seats(&seats), 4);
+    }
+
+    #[test]
+    fn concurrent_callers_draw_their_own_seats() {
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for caller in 0..2u64 {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..50u64 {
+                        let tag = caller * 1000 + i * 10;
+                        let meter = LinkMeter::new();
+                        let results = run_workers::<u64, (), u64, _>(
+                            3,
+                            Transport::clean(&meter),
+                            vec![(); 3],
+                            |rank, _w, router| {
+                                for to in 0..router.nprocs() {
+                                    router.send(to, 8, tag + rank as u64);
+                                }
+                                let mut sum = 0;
+                                for from in 0..router.nprocs() {
+                                    sum += router.recv_from(from);
+                                }
+                                sum
+                            },
+                        );
+                        assert_eq!(results, vec![3 * tag + 3; 3], "caller {caller}, call {i}");
+                    }
+                });
+            }
+        });
+    }
+
+    /// A body panic, a typed link failure and an injected kill each fail
+    /// their collective, and the next one still runs on the same seats.
+    #[test]
+    fn seats_survive_failed_collectives() {
+        let seats = SeatSet::new();
+        let meter = LinkMeter::new();
+        let clean = TransportCfg::default();
+        let before = exchange_on(&seats, 2, &meter, &clean);
+
+        let res = catch_unwind(AssertUnwindSafe(|| {
+            run_on::<(), (), (), _>(
+                &seats,
+                2,
+                Transport::clean(&meter),
+                vec![(); 2],
+                |rank, _w, _router| {
+                    if rank == 1 {
+                        panic!("worker bug");
+                    }
+                },
+            )
+        }));
+        let payload = res.expect_err("body panic must fail the collective");
+        assert_eq!(payload_str(payload.as_ref()), "worker bug");
+
+        let lossy = TransportCfg {
+            link_rate: 1.0,
+            link_seed: 7,
+            link_kinds: vec![LinkFaultKind::Drop],
+            max_retransmits: 2,
+            rto: Duration::from_millis(1),
+            ..TransportCfg::default()
+        };
+        let res = catch_unwind(AssertUnwindSafe(|| {
+            run_on::<u64, (), (), _>(
+                &seats,
+                2,
+                Transport::new(&meter, &lossy),
+                vec![(); 2],
+                |rank, _w, router| {
+                    router.send(1 - rank, 8, rank as u64);
+                    router.recv_from(1 - rank);
+                },
+            )
+        }));
+        let payload = res.expect_err("budget exhaustion must fail the collective");
+        assert!(
+            matches!(
+                payload.downcast_ref::<DpfError>(),
+                Some(DpfError::LinkFailure { .. })
+            ),
+            "got {}",
+            payload_str(payload.as_ref())
+        );
+
+        let kill = TransportCfg {
+            kill_workers: vec![(1, meter.collectives())],
+            ..TransportCfg::default()
+        };
+        let res = catch_unwind(AssertUnwindSafe(|| exchange_on(&seats, 2, &meter, &kill)));
+        let payload = res.expect_err("kill must fail the collective");
+        assert!(payload_str(payload.as_ref()).contains("killed at collective"));
+
+        assert_eq!(exchange_on(&seats, 2, &meter, &clean), before);
+        assert_eq!(idle_seats(&seats), 2);
+    }
+
+    /// An in-run heal respawns the dead rank on the seat it died on: the
+    /// healed collective runs on the same threads and spawns none.
+    #[test]
+    fn healed_collective_respawns_in_place() {
+        let seats = SeatSet::new();
+        let meter = LinkMeter::new();
+        let before = exchange_on(&seats, 4, &meter, &TransportCfg::default());
+        let cfg = TransportCfg {
+            kill_workers: vec![(2, meter.collectives())],
+            recover: RecoverMode::InRun,
+            ..TransportCfg::default()
+        };
+        let healed = exchange_on(&seats, 4, &meter, &cfg);
+        assert_eq!(meter.respawns(), 1);
+        assert_eq!(meter.epochs_rewound(), 1);
+        assert_eq!(healed, before, "a rank moved to another seat");
+        assert_eq!(idle_seats(&seats), 4, "a seat was spawned for the respawn");
     }
 
     /// Shard serialization composes structurally and round-trips through
